@@ -55,12 +55,23 @@ ClassificationTree::ClassificationTree(std::unique_ptr<ClassificationNode> root)
 }
 
 ClassificationPath ClassificationTree::classify(const Incident& incident) const {
+    ClassificationPath out;
+    route(incident, &out.path);
+    return out;
+}
+
+const ClassificationNode& ClassificationTree::classify_leaf(
+    const Incident& incident) const {
+    return route(incident, nullptr);
+}
+
+const ClassificationNode& ClassificationTree::route(
+    const Incident& incident, std::vector<std::string>* path) const {
     validate(incident);
     if (!root_->accepts(incident)) {
         throw std::logic_error("ClassificationTree: root rejected incident " +
                                describe(incident));
     }
-    ClassificationPath out;
     const ClassificationNode* node = root_.get();
     while (!node->is_leaf()) {
         const ClassificationNode* chosen = nullptr;
@@ -77,10 +88,10 @@ ClassificationPath ClassificationTree::classify(const Incident& incident) const 
             throw std::logic_error("ClassificationTree: gap at '" + node->name() +
                                    "' for " + describe(incident));
         }
-        out.path.push_back(chosen->name());
+        if (path != nullptr) path->push_back(chosen->name());
         node = chosen;
     }
-    return out;
+    return *node;
 }
 
 MeceReport ClassificationTree::certify_mece(
@@ -148,6 +159,20 @@ std::vector<ClassificationPath> ClassificationTree::leaves() const {
                 for (const auto& child : node.children()) visit(*child);
             }
             stack.pop_back();
+        };
+    visit(*root_);
+    return out;
+}
+
+std::vector<const ClassificationNode*> ClassificationTree::leaf_nodes() const {
+    std::vector<const ClassificationNode*> out;
+    const std::function<void(const ClassificationNode&)> visit =
+        [&](const ClassificationNode& node) {
+            if (node.is_leaf()) {
+                out.push_back(&node);
+            } else {
+                for (const auto& child : node.children()) visit(*child);
+            }
         };
     visit(*root_);
     return out;

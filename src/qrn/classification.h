@@ -86,6 +86,11 @@ public:
     /// classification failures loud rather than silently arbitrary.
     [[nodiscard]] ClassificationPath classify(const Incident& incident) const;
 
+    /// The accepting leaf node for the incident: the same walk and the
+    /// same MECE throws as classify(), but no path strings are built.
+    /// Its position in leaf_nodes() is the incident's leaf ordinal.
+    [[nodiscard]] const ClassificationNode& classify_leaf(const Incident& incident) const;
+
     /// Certifies the MECE property over a population of sampled incidents.
     /// `next_incident(i)` must return the i-th sample. At most
     /// `max_violations` defects are recorded (the first ones in sample
@@ -103,6 +108,9 @@ public:
     /// All leaf paths (depth-first), for reporting the tree (Fig. 4).
     [[nodiscard]] std::vector<ClassificationPath> leaves() const;
 
+    /// All leaf nodes in the same depth-first order as leaves().
+    [[nodiscard]] std::vector<const ClassificationNode*> leaf_nodes() const;
+
     /// Renders the tree as indented text.
     [[nodiscard]] std::string render() const;
 
@@ -114,6 +122,11 @@ public:
     [[nodiscard]] static ClassificationTree paper_example();
 
 private:
+    /// The classify() walk; appends each chosen node's name to `path`
+    /// when it is non-null.
+    const ClassificationNode& route(const Incident& incident,
+                                    std::vector<std::string>* path) const;
+
     std::unique_ptr<ClassificationNode> root_;
 };
 

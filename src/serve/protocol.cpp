@@ -17,8 +17,9 @@ using store::put_u32;
 using store::put_u64;
 
 void put_u16(std::string& out, std::uint16_t value) {
-    out.push_back(static_cast<char>(value & 0xFFu));
-    out.push_back(static_cast<char>((value >> 8) & 0xFFu));
+    const char bytes[2] = {static_cast<char>(value & 0xFFu),
+                           static_cast<char>((value >> 8) & 0xFFu)};
+    out.append(bytes, sizeof bytes);
 }
 
 [[nodiscard]] std::uint16_t get_u16(std::string_view bytes, std::size_t offset) {
@@ -80,7 +81,7 @@ ClassifyRequest decode_classify_payload(std::string_view payload) {
         for (std::uint32_t i = 0; i < count; ++i) {
             out.incidents.push_back(store::decode_record(
                 payload, 12 + static_cast<std::size_t>(i) * kRecordBytes,
-                "classify record " + std::to_string(i)));
+                {"classify record", i}));
         }
     } catch (const store::StoreError& error) {
         throw ProtocolError(error.what());

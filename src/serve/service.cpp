@@ -50,10 +50,8 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
         throw ServeError("shard_roll must be >= 1");
     }
     if (obs::enabled()) declare_serve_metrics();
-    for (const auto& leaf : tree_.leaves()) {
-        leaf_index_.emplace(leaf.joined(),
-                            static_cast<std::uint16_t>(leaf_names_.size()));
-        leaf_names_.push_back(leaf.joined());
+    for (const ClassificationNode* leaf : tree_.leaf_nodes()) {
+        leaf_ordinal_.emplace(leaf, static_cast<std::uint16_t>(leaf_ordinal_.size()));
     }
     {
         // Same construction as `qrn allocate`/`qrn verify`: the replies
@@ -158,9 +156,7 @@ std::vector<ClassifyRow> Service::classify_batch(const ClassifyRequest& request)
     const auto rows = exec::parallel_map<ClassifyRow>(
         config_.jobs, incidents.size(), [&](std::size_t i) {
             ClassifyRow row;
-            const auto found = leaf_index_.find(tree_.classify(incidents[i]).joined());
-            row.leaf = found == leaf_index_.end() ? std::uint16_t{0xFFFF}
-                                                  : found->second;
+            row.leaf = leaf_ordinal_.at(&tree_.classify_leaf(incidents[i]));
             const auto type = types_.classify(incidents[i]);
             row.type = type ? static_cast<std::uint16_t>(*type) : kNoType;
             return row;

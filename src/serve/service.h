@@ -93,8 +93,8 @@ private:
     IncidentTypeSet types_;
     ServiceConfig config_;
     ClassificationTree tree_;
-    std::vector<std::string> leaf_names_;  ///< joined() paths, leaf order.
-    std::unordered_map<std::string, std::uint16_t> leaf_index_;
+    /// Leaf node -> its ordinal in tree_.leaf_nodes() (the reply's leaf).
+    std::unordered_map<const ClassificationNode*, std::uint16_t> leaf_ordinal_;
     std::optional<AllocationProblem> problem_;
     std::optional<Allocation> allocation_;
     std::string types_digest_;

@@ -2,9 +2,9 @@
 //
 // Every payload block and the sealed footer of a qrn-store shard carry a
 // CRC so that truncation and bit-flips are detected at read time instead of
-// silently skewing Eq. 1 evidence (docs/STORE.md). Table-driven and
-// self-contained: no dependency on zlib or any other library the container
-// may not have.
+// silently skewing Eq. 1 evidence (docs/STORE.md). Slicing-by-8 over
+// compile-time tables (eight bytes per step; the tail goes bytewise) and
+// self-contained: no dependency on zlib or any other library.
 #pragma once
 
 #include <cstddef>

@@ -21,16 +21,28 @@ StoreError::StoreError(StoreErrorKind kind, const std::string& message)
     : std::runtime_error("[" + std::string(to_string(kind)) + "] " + message),
       kind_(kind) {}
 
-void put_u32(std::string& out, std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-        out.push_back(static_cast<char>((value >> shift) & 0xFFu));
+namespace {
+
+/// Writes the low `N` bytes of `value` little-endian into `dst`.
+template <std::size_t N>
+void store_le(char* dst, std::uint64_t value) noexcept {
+    for (std::size_t i = 0; i < N; ++i) {
+        dst[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
     }
 }
 
+}  // namespace
+
+void put_u32(std::string& out, std::uint32_t value) {
+    char bytes[4];
+    store_le<4>(bytes, value);
+    out.append(bytes, sizeof bytes);
+}
+
 void put_u64(std::string& out, std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<char>((value >> shift) & 0xFFu));
-    }
+    char bytes[8];
+    store_le<8>(bytes, value);
+    out.append(bytes, sizeof bytes);
 }
 
 void put_f64(std::string& out, double value) {
@@ -62,17 +74,25 @@ double get_f64(std::string_view bytes, std::size_t offset) noexcept {
 }
 
 void encode_record(std::string& out, const Incident& incident) {
-    out.push_back(static_cast<char>(incident.first));
-    out.push_back(static_cast<char>(incident.second));
-    out.push_back(static_cast<char>(incident.mechanism));
-    out.push_back(static_cast<char>(incident.ego_causing_factor ? 1 : 0));
-    put_f64(out, incident.relative_speed_kmh);
-    put_f64(out, incident.min_distance_m);
-    put_f64(out, incident.timestamp_hours);
+    char bytes[kRecordBytes];
+    bytes[0] = static_cast<char>(incident.first);
+    bytes[1] = static_cast<char>(incident.second);
+    bytes[2] = static_cast<char>(incident.mechanism);
+    bytes[3] = static_cast<char>(incident.ego_causing_factor ? 1 : 0);
+    store_le<8>(bytes + 4, std::bit_cast<std::uint64_t>(incident.relative_speed_kmh));
+    store_le<8>(bytes + 12, std::bit_cast<std::uint64_t>(incident.min_distance_m));
+    store_le<8>(bytes + 20, std::bit_cast<std::uint64_t>(incident.timestamp_hours));
+    out.append(bytes, sizeof bytes);
+}
+
+std::string RecordContext::str() const {
+    std::string out(label);
+    if (index) out += " " + std::to_string(*index);
+    return out;
 }
 
 Incident decode_record(std::string_view bytes, std::size_t offset,
-                       const std::string& context) {
+                       const RecordContext& context) {
     const auto first = static_cast<unsigned char>(bytes[offset]);
     const auto second = static_cast<unsigned char>(bytes[offset + 1]);
     const auto mechanism = static_cast<unsigned char>(bytes[offset + 2]);
@@ -80,7 +100,7 @@ Incident decode_record(std::string_view bytes, std::size_t offset,
     if (first >= kActorTypeCount || second >= kActorTypeCount || mechanism > 1 ||
         flags > 1) {
         throw StoreError(StoreErrorKind::Inconsistent,
-                         context + ": record field out of range (actor/mechanism/"
+                         context.str() + ": record field out of range (actor/mechanism/"
                                    "flag byte does not name a known value)");
     }
     Incident incident;
@@ -95,7 +115,7 @@ Incident decode_record(std::string_view bytes, std::size_t offset,
         validate(incident);
     } catch (const std::exception& error) {
         throw StoreError(StoreErrorKind::Inconsistent,
-                         context + ": record violates incident invariants: " +
+                         context.str() + ": record violates incident invariants: " +
                              error.what());
     }
     return incident;

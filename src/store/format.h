@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -114,11 +115,22 @@ void put_f64(std::string& out, double value);
 /// Appends the kRecordBytes encoding of one incident.
 void encode_record(std::string& out, const Incident& incident);
 
+/// Names the source of a record in decode errors: "<label>" or
+/// "<label> <index>" (a shard path; "classify record 3"). The text is
+/// built only when a record fails, so a hot decode loop never allocates
+/// for it. `label` must outlive the decode call.
+struct RecordContext {
+    std::string_view label;
+    std::optional<std::size_t> index;
+
+    [[nodiscard]] std::string str() const;
+};
+
 /// Decodes the record at `offset`; the caller guarantees kRecordBytes are
-/// available. `context` prefixes error messages (a path or peer name).
-/// Throws StoreError(Inconsistent) on out-of-range enum bytes or records
+/// available. `context` prefixes error messages. Throws
+/// StoreError(Inconsistent) on out-of-range enum bytes or records
 /// violating qrn::validate().
 [[nodiscard]] Incident decode_record(std::string_view bytes, std::size_t offset,
-                                     const std::string& context);
+                                     const RecordContext& context);
 
 }  // namespace qrn::store

@@ -246,7 +246,7 @@ ShardInfo ShardReader::for_each(const std::function<void(const Incident&)>& fn) 
     return stream_blocks([&](std::string_view payload, std::uint32_t count) {
         for (std::uint32_t r = 0; r < count; ++r) {
             fn(decode_record(payload, static_cast<std::size_t>(r) * kRecordBytes,
-                             path_));
+                             {path_, std::nullopt}));
         }
     });
 }
@@ -260,8 +260,9 @@ ShardInfo ShardReader::for_each_block(
         batch.clear();
         batch.reserve(count);
         for (std::uint32_t r = 0; r < count; ++r) {
-            batch.push_back(decode_record(
-                payload, static_cast<std::size_t>(r) * kRecordBytes, path_));
+            batch.push_back(decode_record(payload,
+                                          static_cast<std::size_t>(r) * kRecordBytes,
+                                          {path_, std::nullopt}));
         }
         fn(batch);
     });

@@ -27,6 +27,29 @@ std::uint64_t entry_u64(const json::Value& value, const std::string& what) {
     return static_cast<std::uint64_t>(value.as_number());
 }
 
+/// One shard row as `json::Value(doc).dump(2)` prints it inside the
+/// document's "shards" array: rendered by the JSON writer, then
+/// re-indented by the two levels (four spaces) of its depth. Strings are
+/// escaped, so every raw newline in the text is a line break of the dump.
+std::string render_row(const ShardEntry& entry) {
+    json::Object row;
+    row.emplace_back("fleet_index",
+                     json::Value(static_cast<std::size_t>(entry.fleet_index)));
+    row.emplace_back("file", json::Value(entry.file));
+    row.emplace_back("key", json::Value(key_hex(entry.cache_key)));
+    row.emplace_back("records",
+                     json::Value(static_cast<std::size_t>(entry.records)));
+    row.emplace_back("exposure_hours", json::Value(entry.exposure_hours));
+    const std::string flat = json::Value(std::move(row)).dump(2);
+    std::string out;
+    out.reserve(flat.size() + 32);
+    for (const char ch : flat) {
+        out += ch;
+        if (ch == '\n') out.append(4, ' ');
+    }
+    return out;
+}
+
 }  // namespace
 
 Store::Store(std::string dir) : dir_(std::move(dir)) {
@@ -96,7 +119,7 @@ void Store::load_manifest() {
                                  "store manifest '" + path +
                                      "' names an invalid shard file '" + entry.file + "'");
             }
-            entries_[entry.fleet_index] = std::move(entry);
+            rows_[entry.fleet_index] = Row{std::move(entry), {}};
         }
     } catch (const StoreError&) {
         throw;
@@ -107,23 +130,21 @@ void Store::load_manifest() {
     manifest_found_ = true;
 }
 
-void Store::write_manifest_locked() const {
-    json::Array shards;
-    shards.reserve(entries_.size());
-    for (const auto& [index, entry] : entries_) {
-        json::Object row;
-        row.emplace_back("fleet_index", json::Value(static_cast<std::size_t>(index)));
-        row.emplace_back("file", json::Value(entry.file));
-        row.emplace_back("key", json::Value(key_hex(entry.cache_key)));
-        row.emplace_back("records",
-                         json::Value(static_cast<std::size_t>(entry.records)));
-        row.emplace_back("exposure_hours", json::Value(entry.exposure_hours));
-        shards.emplace_back(std::move(row));
+void Store::write_manifest_locked() {
+    // The bytes json::Value(doc).dump(2) + "\n" prints for the document
+    // {kind, schema_version, shards: [rows...]}, spliced from the cached
+    // row texts. Only record() writes, so there is always at least one row.
+    std::string text = "{\n  \"kind\": \"" + std::string(kManifestKind) +
+                       "\",\n  \"schema_version\": " +
+                       std::to_string(kManifestSchemaVersion) + ",\n  \"shards\": [";
+    const char* sep = "\n    ";
+    for (auto& [index, row] : rows_) {
+        if (row.text.empty()) row.text = render_row(row.entry);
+        text += sep;
+        text += row.text;
+        sep = ",\n    ";
     }
-    json::Object doc;
-    doc.emplace_back("kind", json::Value(std::string(kManifestKind)));
-    doc.emplace_back("schema_version", json::Value(kManifestSchemaVersion));
-    doc.emplace_back("shards", json::Value(std::move(shards)));
+    text += "\n  ]\n}\n";
 
     const std::string path = manifest_path();
     const std::string tmp = path + std::string(kTempSuffix);
@@ -133,7 +154,7 @@ void Store::write_manifest_locked() const {
             throw StoreError(StoreErrorKind::Io,
                              "cannot open '" + tmp + "' for writing");
         }
-        out << json::Value(std::move(doc)).dump(2) << '\n';
+        out << text;
         out.flush();
         if (!out.good()) {
             throw StoreError(StoreErrorKind::Io,
@@ -150,15 +171,15 @@ void Store::write_manifest_locked() const {
 
 const ShardEntry* Store::find(std::uint64_t fleet_index) const {
     const std::scoped_lock lock(mutex_);
-    const auto it = entries_.find(fleet_index);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = rows_.find(fleet_index);
+    return it == rows_.end() ? nullptr : &it->second.entry;
 }
 
 std::vector<ShardEntry> Store::entries() const {
     const std::scoped_lock lock(mutex_);
     std::vector<ShardEntry> out;
-    out.reserve(entries_.size());
-    for (const auto& [index, entry] : entries_) out.push_back(entry);
+    out.reserve(rows_.size());
+    for (const auto& [index, row] : rows_) out.push_back(row.entry);
     return out;
 }
 
@@ -174,7 +195,7 @@ std::string Store::shard_filename(std::uint64_t fleet_index, std::uint64_t cache
 
 void Store::record(const ShardEntry& entry) {
     const std::scoped_lock lock(mutex_);
-    entries_[entry.fleet_index] = entry;
+    rows_[entry.fleet_index] = Row{entry, render_row(entry)};
     write_manifest_locked();
 }
 

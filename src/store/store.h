@@ -29,7 +29,9 @@ struct ShardEntry {
 
 /// A shard store rooted at one directory. Thread-safe: campaign workers
 /// record shards concurrently; each record() rewrites the manifest under a
-/// lock so the on-disk index is always a consistent snapshot.
+/// lock so the on-disk index is always a consistent snapshot. Each row's
+/// JSON text is rendered once and cached, so a rewrite splices cached rows
+/// instead of re-serializing every entry.
 class Store {
 public:
     /// Opens (creating if needed) the store directory and loads the
@@ -69,12 +71,19 @@ public:
     [[nodiscard]] std::vector<std::string> stray_temp_files() const;
 
 private:
+    /// A manifest row and its rendered JSON text (indented for its place in
+    /// the document); `text` is empty until the row is first written.
+    struct Row {
+        ShardEntry entry;
+        std::string text;
+    };
+
     void load_manifest();
-    void write_manifest_locked() const;
+    void write_manifest_locked();
 
     std::string dir_;
     mutable std::mutex mutex_;
-    std::map<std::uint64_t, ShardEntry> entries_;
+    std::map<std::uint64_t, Row> rows_;
     bool manifest_found_ = false;
 };
 

@@ -4,8 +4,11 @@
 
 #include "qrn/banding.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +150,70 @@ TEST(ClassificationTree, LeavesEnumeration) {
     // Fig. 4: 6 ego-involved leaves + 3 Car<->RoadUser leaves +
     // Car<->Non-human + Truck<->Road User + Other<->Other = 12.
     EXPECT_EQ(leaves.size(), 12u);
+}
+
+/// Position of `leaf` in the tree's leaf_nodes() order.
+std::size_t leaf_ordinal(const ClassificationTree& tree, const ClassificationNode& leaf) {
+    const auto nodes = tree.leaf_nodes();
+    const auto it = std::find(nodes.begin(), nodes.end(), &leaf);
+    return static_cast<std::size_t>(it - nodes.begin());
+}
+
+TEST(ClassificationTree, ClassifyLeafAgreesWithJoinedPathIndex) {
+    const auto tree = ClassificationTree::paper_example();
+    const auto leaves = tree.leaves();
+    ASSERT_EQ(tree.leaf_nodes().size(), leaves.size());
+    stats::Rng rng(20200629);
+    std::vector<std::size_t> hits(leaves.size(), 0);
+    for (int n = 0; n < 5000; ++n) {
+        const Incident incident = random_incident(rng);
+        const std::string joined = tree.classify(incident).joined();
+        std::size_t expected = leaves.size();
+        for (std::size_t k = 0; k < leaves.size(); ++k) {
+            if (leaves[k].joined() == joined) expected = k;
+        }
+        ASSERT_LT(expected, leaves.size()) << joined;
+        const ClassificationNode& leaf = tree.classify_leaf(incident);
+        EXPECT_TRUE(leaf.is_leaf());
+        EXPECT_EQ(leaf.name(), leaves[expected].leaf());
+        EXPECT_EQ(leaf_ordinal(tree, leaf), expected) << joined;
+        ++hits[expected];
+    }
+    // The sample reaches every leaf, so every ordinal is checked.
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+        EXPECT_GT(hits[k], 0u) << leaves[k].joined();
+    }
+}
+
+TEST(ClassificationTree, ClassifyLeafThrowsTheSameMeceErrors) {
+    auto root = std::make_unique<ClassificationNode>("root",
+                                                     [](const Incident&) { return true; });
+    root->add_child("all-a", [](const Incident&) { return true; });
+    root->add_child("all-b", [](const Incident&) { return true; });
+    root->add_child("never", [](const Incident&) { return false; });
+    const ClassificationTree overlapping(std::move(root));
+    const auto i = ego_incident(ActorType::Car);
+    const auto message = [&](auto&& classify) {
+        try {
+            classify();
+        } catch (const std::logic_error& error) {
+            return std::string(error.what());
+        }
+        return std::string("no throw");
+    };
+    const std::string expected = message([&] { (void)overlapping.classify(i); });
+    EXPECT_NE(expected.find("overlap at 'root' between 'all-a' and 'all-b'"),
+              std::string::npos)
+        << expected;
+    EXPECT_EQ(message([&] { (void)overlapping.classify_leaf(i); }), expected);
+
+    auto gap_root = std::make_unique<ClassificationNode>(
+        "root", [](const Incident&) { return true; });
+    gap_root->add_child("never", [](const Incident&) { return false; });
+    const ClassificationTree gappy(std::move(gap_root));
+    const std::string gap = message([&] { (void)gappy.classify(i); });
+    EXPECT_NE(gap.find("gap at 'root'"), std::string::npos) << gap;
+    EXPECT_EQ(message([&] { (void)gappy.classify_leaf(i); }), gap);
 }
 
 TEST(ClassificationTree, RenderShowsHierarchy) {

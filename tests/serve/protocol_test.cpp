@@ -12,6 +12,7 @@
 #include "serve/protocol.h"
 #include "serve/queue.h"
 #include "serve/stream.h"
+#include "store/format.h"
 
 namespace {
 
@@ -88,6 +89,21 @@ TEST(ClassifyPayload, RejectsBadExposureAndBadRecordBytes) {
     auto payload = encode_classify_payload(1.0, batch);
     payload[12] = static_cast<char>(0xEE);
     EXPECT_THROW(decode_classify_payload(payload), ProtocolError);
+}
+
+TEST(ClassifyPayload, BadRecordErrorNamesItsIndex) {
+    auto payload = encode_classify_payload(1.0, sample_batch(5));
+    // Record 3's mechanism byte (offset 2 within the record) out of range.
+    payload[12 + 3 * store::kRecordBytes + 2] = static_cast<char>(7);
+    try {
+        (void)decode_classify_payload(payload);
+        FAIL() << "expected ProtocolError";
+    } catch (const ProtocolError& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("classify record 3: record field out of range"),
+                  std::string::npos)
+            << message;
+    }
 }
 
 TEST(ClassifyReply, RoundTripsRowsIncludingNoType) {

@@ -119,6 +119,36 @@ TEST(Codec, LittleEndianRoundTrip) {
     EXPECT_EQ(bits(get_f64(bytes, 12)), bits(-0.1));
 }
 
+TEST(Codec, RecordLayoutIsFourFlagBytesThenThreeDoubles) {
+    Incident incident;
+    incident.first = ActorType::Car;
+    incident.second = ActorType::Vru;
+    incident.mechanism = IncidentMechanism::NearMiss;
+    incident.ego_causing_factor = true;
+    incident.relative_speed_kmh = 42.25;
+    incident.min_distance_m = 0.75;
+    incident.timestamp_hours = 1234.5;
+    std::string bytes = "pre";
+    encode_record(bytes, incident);
+    ASSERT_EQ(bytes.size(), 3 + kRecordBytes);
+    // The reference layout, field by field through the scalar codecs.
+    std::string expected = "pre";
+    expected.push_back(static_cast<char>(ActorType::Car));
+    expected.push_back(static_cast<char>(ActorType::Vru));
+    expected.push_back(static_cast<char>(IncidentMechanism::NearMiss));
+    expected.push_back(static_cast<char>(1));
+    put_f64(expected, 42.25);
+    put_f64(expected, 0.75);
+    put_f64(expected, 1234.5);
+    EXPECT_EQ(bytes, expected);
+    const Incident back = decode_record(bytes, 3, {"test", std::nullopt});
+    EXPECT_EQ(back.first, incident.first);
+    EXPECT_EQ(back.second, incident.second);
+    EXPECT_EQ(back.mechanism, incident.mechanism);
+    EXPECT_TRUE(back.ego_causing_factor);
+    EXPECT_EQ(bits(back.timestamp_hours), bits(1234.5));
+}
+
 TEST(Shard, RoundTripIsBitIdentical) {
     const std::string path = temp_shard("roundtrip");
     const auto log = sample_log(5);

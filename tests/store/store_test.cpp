@@ -8,10 +8,13 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qrn/json.h"
 #include "sim/fleet.h"
 #include "store/cache_key.h"
 #include "store/format.h"
@@ -84,6 +87,65 @@ TEST(Store, RecordUpsertsByFleetIndex) {
     const auto entries = store.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].cache_key, 2u);
+}
+
+/// The manifest a store holding `entries` must write: the JSON writer's
+/// own dump of the whole document, which cached row texts must reproduce.
+std::string expected_manifest(const std::vector<ShardEntry>& entries) {
+    json::Array shards;
+    for (const auto& entry : entries) {
+        json::Object row;
+        row.emplace_back("fleet_index",
+                         json::Value(static_cast<std::size_t>(entry.fleet_index)));
+        row.emplace_back("file", json::Value(entry.file));
+        row.emplace_back("key", json::Value(key_hex(entry.cache_key)));
+        row.emplace_back("records", json::Value(static_cast<std::size_t>(entry.records)));
+        row.emplace_back("exposure_hours", json::Value(entry.exposure_hours));
+        shards.emplace_back(std::move(row));
+    }
+    json::Object doc;
+    doc.emplace_back("kind", json::Value("qrn.store"));
+    doc.emplace_back("schema_version", json::Value(1));
+    doc.emplace_back("shards", json::Value(std::move(shards)));
+    return json::Value(std::move(doc)).dump(2) + "\n";
+}
+
+std::string read_text(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(Store, ManifestBytesEqualAFullJsonDumpAfterEveryRecord) {
+    const std::string dir = fresh_dir("manifest_bytes");
+    const auto expect_identical = [&](const Store& store, const char* step) {
+        EXPECT_EQ(read_text(store.manifest_path()), expected_manifest(store.entries()))
+            << step;
+    };
+    {
+        Store store(dir);
+        store.record(entry_for(5, 0x5555));
+        expect_identical(store, "first row");
+        store.record(entry_for(1, 0x1111));
+        expect_identical(store, "row before an existing one");
+        ShardEntry odd = entry_for(3, 0x3333);
+        // Escapes in a string value must survive the re-indentation, and a
+        // fractional exposure takes the %.17g path of the writer.
+        odd.file = "odd \"name\"\twith\nescapes.qrs";
+        odd.exposure_hours = 0.1;
+        store.record(odd);
+        expect_identical(store, "row in the middle");
+        store.record(entry_for(1, 0xABCDEF0123456789ULL));
+        expect_identical(store, "overwritten fleet index");
+    }
+    Store reopened(dir);
+    ASSERT_EQ(reopened.entries().size(), 3u);
+    EXPECT_EQ(reopened.find(3)->file, "odd \"name\"\twith\nescapes.qrs");
+    reopened.record(entry_for(0, 0x0));
+    expect_identical(reopened, "first record after reopening");
+    reopened.record(entry_for(5, 0x5556));
+    expect_identical(reopened, "overwrite after reopening");
 }
 
 TEST(Store, ShardFilenameIsFixedWidth) {
