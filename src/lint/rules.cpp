@@ -108,15 +108,12 @@ void check_naked_new(const FileContext& c, std::vector<Finding>& out) {
 // ---- thread-discipline -------------------------------------------------
 
 void check_thread_discipline(const FileContext& c, std::vector<Finding>& out) {
-    // Three sanctioned concurrency modules: src/exec owns the pool,
+    // Two sanctioned concurrency modules: src/exec owns the pool, and
     // src/serve owns the daemon's long-lived accept/reader/dispatcher
     // threads (I/O-bound waiting a fixed pool cannot host without
-    // starving compute work), and src/sched owns the distributed
-    // coordinator's lease-renewal thread (a periodic timer that must tick
-    // while the pool is saturated with fleet work).
+    // starving compute work).
     if (path_starts_with(c.path, "src/exec/") ||
-        path_starts_with(c.path, "src/serve/") ||
-        path_starts_with(c.path, "src/sched/")) {
+        path_starts_with(c.path, "src/serve/")) {
         return;
     }
     for (std::size_t ci = 2; ci < c.code.size(); ++ci) {
@@ -128,7 +125,7 @@ void check_thread_discipline(const FileContext& c, std::vector<Finding>& out) {
         if (text_is(c, ci - 1, "::") && is_ident(c, ci - 2, "std")) {
             out.push_back({c.path, t.line, "thread-discipline",
                            "std::" + t.text +
-                               " outside src/exec, src/serve or src/sched; run "
+                               " outside src/exec or src/serve; run "
                                "work on the shared pool via exec::parallel_for/"
                                "parallel_map (src/exec/parallel.h)"});
         }
@@ -348,8 +345,8 @@ const std::vector<Rule>& rules() {
                      "naked new/delete expressions (ownership must be RAII)",
                      check_naked_new});
         r.push_back(Rule{"thread-discipline",
-                     "std::thread/std::jthread outside src/exec, src/serve or "
-                     "src/sched (use the shared pool)",
+                     "std::thread/std::jthread outside src/exec or src/serve "
+                     "(use the shared pool)",
                      check_thread_discipline});
         r.push_back(Rule{"rng-stream",
                      "direct Rng seeding inside parallel_for/map/chunks "

@@ -33,6 +33,15 @@ double Value::as_number() const {
     return std::get<double>(data_);
 }
 
+std::optional<std::uint64_t> Value::as_exact_u64() const noexcept {
+    const double* number = std::get_if<double>(&data_);
+    if (number == nullptr || !(*number >= 0.0) || *number > 0x1p53 ||
+        std::floor(*number) != *number) {
+        return std::nullopt;
+    }
+    return static_cast<std::uint64_t>(*number);
+}
+
 const std::string& Value::as_string() const {
     if (!is_string()) kind_error("a string");
     return std::get<std::string>(data_);

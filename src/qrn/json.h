@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -48,6 +50,12 @@ public:
     [[nodiscard]] const std::string& as_string() const;
     [[nodiscard]] const Array& as_array() const;
     [[nodiscard]] const Object& as_object() const;
+
+    /// The number as an unsigned integer when it is integral and in
+    /// [0, 2^53], where every such double is exact; nullopt for any other
+    /// number and for a non-number. Reading a count or an index from
+    /// outside input goes through here, never through a raw cast.
+    [[nodiscard]] std::optional<std::uint64_t> as_exact_u64() const noexcept;
 
     /// Object member lookup; throws std::runtime_error when absent.
     [[nodiscard]] const Value& at(const std::string& key) const;

@@ -1,31 +1,23 @@
 #include "sched/coordinator.h"
 
-#include <poll.h>
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <csignal>
-#include <cstring>
-#include <map>
-#include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sched/ready_queue.h"
-#include "store/format.h"
 #include "store/lease.h"
 #include "store/shard.h"
 #include "store/store.h"
 
-// Lock order between the lease board's bookkeeping and the shared stats:
-// the renewal thread bumps stats while already inside the board.
-// qrn:lock_order(mutex_ < stats_mutex_)
+extern char** environ;
 
 namespace qrn::sched {
 
@@ -37,247 +29,106 @@ void declare_sched_metrics() {
     obs::add_counter("sched.nodes_dispatched", 0);
     obs::add_counter("sched.nodes_completed", 0);
     obs::add_counter("sched.nodes_reused", 0);
-    obs::add_counter("sched.leases_acquired", 0);
     obs::add_counter("sched.leases_stolen", 0);
-    obs::add_counter("sched.leases_renewed", 0);
     obs::add_counter("sched.workers_spawned", 0);
     obs::add_counter("sched.worker_respawns", 0);
     obs::add_counter("sched.worker_failures", 0);
-    obs::declare_timer("sched.dispatch_ns");
-    obs::declare_timer("sched.worker_wait_ns");
     obs::declare_timer("sched.node_exec_ns");
 }
 
-/// Keeps every lease the coordinator holds alive: a renewal thread
-/// re-stamps each held lease at TTL/3 so external workers only steal from
-/// a coordinator that actually died (or stalled past the TTL).
-class LeaseBoard {
-public:
-    LeaseBoard(std::string dir, std::string owner, std::uint64_t ttl_ms,
-               CoordinatorStats& stats, std::mutex& stats_mutex)
-        : dir_(std::move(dir)),
-          owner_(std::move(owner)),
-          ttl_ms_(ttl_ms),
-          stats_(stats),
-          stats_mutex_(stats_mutex) {}
+/// Adds `by` to a stats field and to its sched.* obs counter.
+void bump(std::uint64_t& stat, const char* metric, std::uint64_t by = 1) {
+    stat += by;
+    if (obs::enabled()) obs::add_counter(metric, by);
+}
 
-    ~LeaseBoard() { stop(); }
-
-    LeaseBoard(const LeaseBoard&) = delete;
-    LeaseBoard& operator=(const LeaseBoard&) = delete;
-
-    void start() {
-        renewer_ = std::thread([this] { renew_loop(); });
-    }
-
-    /// Registers a lease this coordinator now holds (just acquired or
-    /// stolen) so the renewal thread keeps it fresh.
-    void track(const std::string& node, std::uint64_t generation) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        held_[node] = generation;
-    }
-
-    /// Stops renewing and removes the node's lease file.
-    void release(const std::string& node) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            held_.erase(node);
-        }
-        store::release_lease(dir_, node);
-    }
-
-    void stop() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (stop_) return;
-            stop_ = true;
-        }
-        wake_.notify_all();
-        if (renewer_.joinable()) renewer_.join();
-    }
-
-private:
-    void renew_loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        const auto period =
-            std::chrono::milliseconds(std::max<std::uint64_t>(1, ttl_ms_ / 3));
-        while (!stop_) {
-            wake_.wait_for(lock, period);
-            if (stop_) break;
-            std::uint64_t renewed = 0;
-            for (auto& [node, generation] : held_) {
-                ++generation;
-                store::overwrite_lease(
-                    dir_, store::Lease{node, owner_, store::lease_now_ms(),
-                                       ttl_ms_, generation});
-                ++renewed;
-            }
-            if (renewed != 0) {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                stats_.leases_renewed += renewed;
-                if (obs::enabled()) {
-                    obs::add_counter("sched.leases_renewed", renewed);
-                }
-            }
+/// Releases the lease of every fleet in `fleets` that `stale` accepts;
+/// returns how many it released.
+template <typename Stale>
+std::uint64_t release_leases(const std::string& dir,
+                             const std::vector<std::uint64_t>& fleets,
+                             const Stale& stale) {
+    std::uint64_t released = 0;
+    for (const std::uint64_t i : fleets) {
+        const std::string id = plan_node_id(i);
+        const std::optional<store::Lease> lease = store::read_lease(dir, id);
+        if (lease && stale(*lease)) {
+            store::release_lease(dir, id);
+            ++released;
         }
     }
+    return released;
+}
 
-    const std::string dir_;
-    const std::string owner_;
-    const std::uint64_t ttl_ms_;
-    CoordinatorStats& stats_;
-    std::mutex& stats_mutex_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    // qrn:guarded_by(mutex_)
-    std::map<std::string, std::uint64_t> held_;
-    // qrn:guarded_by(mutex_)
-    bool stop_ = false;
-    std::thread renewer_;
-};
-
-/// One attached worker child and the pipe plumbing around it.
-struct WorkerProc {
-    pid_t pid = -1;
-    int to_child = -1;    ///< Write end of the child's stdin.
-    int from_child = -1;  ///< Read end of the child's stdout.
-    std::string buffer;   ///< Partial reply line carried between reads.
-    std::optional<std::uint64_t> in_flight;  ///< Fleet index being run.
+/// One worker slot: the running child and the lease owner it claims as.
+struct Child {
+    pid_t pid = -1;  ///< -1 once reaped and not respawned.
+    std::string owner;
     unsigned respawns = 0;
-    bool alive = false;
-    std::uint64_t idle_since_ns = 0;
 };
 
-/// Pre-built execv argument block: the child must not allocate between
-/// fork and exec (another thread may hold the allocator lock).
-struct ExecSpec {
-    std::vector<std::string> args;
-    std::vector<char*> argv;
+/// The `qrn sched worker` children. Whatever still runs when the group is
+/// destroyed (the coordinator is unwinding an error) is killed and reaped.
+class WorkerGroup {
+public:
+    explicit WorkerGroup(const CoordinatorConfig& config)
+        : children(config.workers),
+          config_(config),
+          owner_prefix_("coord:" + std::to_string(::getpid()) + ":w") {
+        // The children's stdout must never reach the evidence document.
+        if (::posix_spawn_file_actions_init(&actions_) != 0 ||
+            ::posix_spawn_file_actions_addopen(&actions_, 0, "/dev/null",
+                                               O_RDONLY, 0) != 0 ||
+            ::posix_spawn_file_actions_addopen(&actions_, 1, "/dev/null",
+                                               O_WRONLY, 0) != 0) {
+            throw SchedError("run_coordinator: cannot set up worker spawn");
+        }
+    }
 
-    explicit ExecSpec(const CoordinatorConfig& config) {
-        args = {"qrn",     "sched",          "worker",
-                "--store", config.store_dir, "--attached"};
-        argv.reserve(args.size() + 1);
+    ~WorkerGroup() {
+        for (const Child& child : children) {
+            if (child.pid < 0) continue;
+            ::kill(child.pid, SIGKILL);
+            ::waitpid(child.pid, nullptr, 0);
+        }
+        ::posix_spawn_file_actions_destroy(&actions_);
+    }
+
+    WorkerGroup(const WorkerGroup&) = delete;
+    WorkerGroup& operator=(const WorkerGroup&) = delete;
+
+    /// Starts a worker in `child` under a lease owner unique to this spawn.
+    /// Returns false (leaving the slot dead) when the spawn fails.
+    bool spawn(Child& child) {
+        child.owner = owner_prefix_ + std::to_string(spawned_++);
+        std::vector<std::string> args = {"qrn", "sched", "worker", "--store",
+                                         config_.store_dir, "--ttl-ms",
+                                         std::to_string(config_.lease_ttl_ms),
+                                         "--owner", child.owner};
+        std::vector<char*> argv;
         for (std::string& arg : args) argv.push_back(arg.data());
         argv.push_back(nullptr);
+        pid_t pid = -1;
+        const int rc = ::posix_spawn(&pid, config_.cli_path.c_str(), &actions_,
+                                     nullptr, argv.data(), environ);
+        child.pid = rc == 0 ? pid : -1;
+        return rc == 0;
     }
+
+    std::vector<Child> children;
+
+private:
+    const CoordinatorConfig& config_;
+    const std::string owner_prefix_;
+    std::uint64_t spawned_ = 0;
+    posix_spawn_file_actions_t actions_{};
 };
-
-void close_fd(int& fd) {
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
-
-bool spawn_worker(const CoordinatorConfig& config, const ExecSpec& spec,
-                  WorkerProc& worker) {
-    int to_child[2] = {-1, -1};
-    int from_child[2] = {-1, -1};
-    if (::pipe(to_child) != 0) return false;
-    if (::pipe(from_child) != 0) {
-        close_fd(to_child[0]);
-        close_fd(to_child[1]);
-        return false;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        close_fd(to_child[0]);
-        close_fd(to_child[1]);
-        close_fd(from_child[0]);
-        close_fd(from_child[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: only async-signal-safe calls until exec.
-        ::dup2(to_child[0], 0);
-        ::dup2(from_child[1], 1);
-        ::close(to_child[0]);
-        ::close(to_child[1]);
-        ::close(from_child[0]);
-        ::close(from_child[1]);
-        ::execv(config.cli_path.c_str(), spec.argv.data());
-        ::_exit(127);
-    }
-    close_fd(to_child[0]);
-    close_fd(from_child[1]);
-    worker.pid = pid;
-    worker.to_child = to_child[1];
-    worker.from_child = from_child[0];
-    worker.buffer.clear();
-    worker.in_flight.reset();
-    worker.alive = true;
-    worker.idle_since_ns = obs::now_ns();
-    return true;
-}
-
-/// Writes the whole line or reports the worker's pipe as broken.
-bool write_line(int fd, const std::string& line) {
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// Closes stdin pipes (workers exit on EOF), then reaps each child; any
-/// child still running after `patience` polls gets SIGKILL. Used for both
-/// clean shutdown and error unwinding.
-void shutdown_workers(std::vector<WorkerProc>& workers) {
-    for (WorkerProc& worker : workers) close_fd(worker.to_child);
-    for (WorkerProc& worker : workers) {
-        if (worker.pid < 0) continue;
-        int status = 0;
-        for (int patience = 0; patience < 100; ++patience) {
-            const pid_t reaped = ::waitpid(worker.pid, &status, WNOHANG);
-            if (reaped == worker.pid || (reaped < 0 && errno == ECHILD)) {
-                worker.pid = -1;
-                break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        if (worker.pid >= 0) {
-            ::kill(worker.pid, SIGKILL);
-            ::waitpid(worker.pid, &status, 0);
-            worker.pid = -1;
-        }
-        close_fd(worker.from_child);
-        worker.alive = false;
-    }
-}
-
-struct Assignment {
-    std::size_t worker = 0;
-    ReadyItem item;
-};
-
-// qrn:dispatcher(begin)
-/// Pure pairing of idle workers with the heaviest ready nodes - the
-/// critical-path-first dispatch decision, free of any I/O or blocking
-/// call; the pipe writes happen outside this region.
-std::vector<Assignment> pick_assignments(const std::vector<WorkerProc>& workers,
-                                         ReadyQueue& ready) {
-    std::vector<Assignment> picks;
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (!workers[w].alive || workers[w].in_flight.has_value()) continue;
-        if (ready.empty()) break;
-        picks.push_back(Assignment{w, ready.pop()});
-    }
-    return picks;
-}
-// qrn:dispatcher(end)
-
-enum class NodeState { Unclaimed, Ready, InFlight, Done };
 
 }  // namespace
 
-CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
+// The DAG is unused: every fleet node sits on the same level, so workers
+// claim in fleet order and no dispatch priority is needed.
+CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& /*dag*/,
                                  const CoordinatorConfig& config) {
     if (config.workers == 0) {
         throw SchedError("run_coordinator: need at least one worker");
@@ -286,26 +137,10 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
 
     store::Store db(config.store_dir);
     const std::string leases = lease_dir(config.store_dir);
-    const std::string owner = "coord:" + std::to_string(::getpid());
 
     CoordinatorStats stats;
-    std::mutex stats_mutex;
-    stats.nodes_total = plan.fleets;
-    if (obs::enabled()) obs::add_counter("sched.nodes_total", plan.fleets);
+    bump(stats.nodes_total, "sched.nodes_total", plan.fleets);
 
-    std::vector<NodeState> state(plan.fleets, NodeState::Unclaimed);
-    std::vector<unsigned> retries(plan.fleets, 0);
-    std::vector<double> priority(plan.fleets, 0.0);
-    for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-        const std::optional<std::size_t> at = dag.index_of(plan_node_id(i));
-        if (!at) {
-            throw SchedError("run_coordinator: DAG has no node " +
-                             plan_node_id(i));
-        }
-        priority[i] = dag.level(*at);
-    }
-
-    std::size_t done_count = 0;
     // Verifies the node's shard against the plan key and records it in the
     // manifest (this process is the manifest's single writer). Returns
     // false when the shard is absent or does not verify.
@@ -325,8 +160,6 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
             entry.records = info.records;
             entry.exposure_hours = info.totals.exposure_hours;
             db.record(entry);
-            state[i] = NodeState::Done;
-            ++done_count;
             return true;
         } catch (const store::StoreError&) {
             return false;
@@ -335,231 +168,75 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
 
     // Resume sweep: anything already sealed (a previous run, or standalone
     // workers that got here first) is done before we spawn anything.
+    std::vector<std::uint64_t> pending;
     for (std::uint64_t i = 0; i < plan.fleets; ++i) {
         if (try_finish(i)) {
-            ++stats.nodes_reused;
-            if (obs::enabled()) obs::add_counter("sched.nodes_reused", 1);
+            bump(stats.nodes_reused, "sched.nodes_reused");
+        } else {
+            pending.push_back(i);
         }
     }
-    if (done_count == plan.fleets) return stats;
+    if (pending.empty()) return stats;
+    bump(stats.nodes_dispatched, "sched.nodes_dispatched", pending.size());
 
-    // A dead worker must not kill the coordinator via a stdin write.
-    using SignalHandler = void (*)(int);
-    const SignalHandler prior_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+    // A lease left by a holder that died before this run would otherwise
+    // hold its node back until a worker noticed the expiry.
+    const std::uint64_t now_ms = store::lease_now_ms();
+    bump(stats.leases_stolen, "sched.leases_stolen",
+         release_leases(leases, pending, [&](const store::Lease& lease) {
+             return store::lease_expired(lease, now_ms);
+         }));
 
-    LeaseBoard board(leases, owner, config.lease_ttl_ms, stats, stats_mutex);
-    board.start();
-
-    const ExecSpec spec(config);
-    std::vector<WorkerProc> workers(config.workers);
-    for (WorkerProc& worker : workers) {
-        if (spawn_worker(config, spec, worker)) {
-            ++stats.workers_spawned;
-            if (obs::enabled()) obs::add_counter("sched.workers_spawned", 1);
+    WorkerGroup group(config);
+    for (Child& child : group.children) {
+        if (group.spawn(child)) {
+            bump(stats.workers_spawned, "sched.workers_spawned");
         }
     }
 
-    ReadyQueue ready;
-
-    // Claims what can be claimed: finishes nodes sealed by others, leases
-    // free nodes, steals expired leases, defers to live foreign leases.
-    const auto claim_scan = [&] {
-        for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-            if (state[i] != NodeState::Unclaimed) continue;
-            if (try_finish(i)) {
-                ++stats.nodes_reused;
-                if (obs::enabled()) obs::add_counter("sched.nodes_reused", 1);
+    // Supervise: a child exits 0 only once every shard verifies. A child
+    // that died is certainly not working on its lease any more, so the
+    // lease is released now instead of waiting out its TTL.
+    for (bool running = true; running;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        running = false;
+        for (Child& child : group.children) {
+            if (child.pid < 0) continue;
+            int status = 0;
+            const pid_t reaped = ::waitpid(child.pid, &status, WNOHANG);
+            if (reaped == 0 || (reaped < 0 && errno == EINTR)) {
+                running = true;
                 continue;
             }
-            const std::string id = plan_node_id(i);
-            const std::optional<store::Lease> current =
-                store::read_lease(leases, id);
-            std::uint64_t generation = 0;
-            if (!current) {
-                if (!store::try_acquire_lease(
-                        leases,
-                        store::Lease{id, owner, store::lease_now_ms(),
-                                     config.lease_ttl_ms, 1})) {
-                    continue;  // Someone else won the race; revisit later.
-                }
-                generation = 1;
-                ++stats.leases_acquired;
-                if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
-            } else if (store::lease_expired(*current, store::lease_now_ms())) {
-                generation = current->generation + 1;
-                store::overwrite_lease(
-                    leases, store::Lease{id, owner, store::lease_now_ms(),
-                                         config.lease_ttl_ms, generation});
-                ++stats.leases_stolen;
-                if (obs::enabled()) obs::add_counter("sched.leases_stolen", 1);
-            } else {
-                continue;  // Live foreign lease: let its holder work.
+            child.pid = -1;
+            if (reaped > 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+                continue;
             }
-            board.track(id, generation);
-            state[i] = NodeState::Ready;
-            ready.push(ReadyItem{i, priority[i], id});
-        }
-    };
-
-    const auto requeue = [&](std::uint64_t i) {
-        state[i] = NodeState::Ready;
-        ready.push(ReadyItem{i, priority[i], plan_node_id(i)});
-    };
-
-    const auto on_worker_death = [&](std::size_t w) {
-        WorkerProc& worker = workers[w];
-        if (!worker.alive) return;
-        worker.alive = false;
-        close_fd(worker.to_child);
-        close_fd(worker.from_child);
-        if (worker.pid >= 0) {
-            int status = 0;
-            ::waitpid(worker.pid, &status, 0);
-            worker.pid = -1;
-        }
-        ++stats.worker_failures;
-        if (obs::enabled()) obs::add_counter("sched.worker_failures", 1);
-        if (worker.in_flight) {
-            // We still hold (and renew) the lease; the node just needs a
-            // new pair of hands.
-            requeue(*worker.in_flight);
-            worker.in_flight.reset();
-        }
-        if (worker.respawns < config.max_respawns_per_worker) {
-            const unsigned next = worker.respawns + 1;
-            if (spawn_worker(config, spec, worker)) {
-                worker.respawns = next;
-                ++stats.worker_respawns;
-                ++stats.workers_spawned;
-                if (obs::enabled()) {
-                    obs::add_counter("sched.worker_respawns", 1);
-                    obs::add_counter("sched.workers_spawned", 1);
+            bump(stats.worker_failures, "sched.worker_failures");
+            release_leases(leases, pending, [&](const store::Lease& lease) {
+                return lease.owner == child.owner;
+            });
+            if (child.respawns < config.max_respawns_per_worker) {
+                ++child.respawns;
+                if (group.spawn(child)) {
+                    bump(stats.worker_respawns, "sched.worker_respawns");
+                    bump(stats.workers_spawned, "sched.workers_spawned");
+                    running = true;
                 }
             }
         }
-    };
-
-    const auto on_reply = [&](std::size_t w, std::string_view line) {
-        WorkerProc& worker = workers[w];
-        const std::size_t space = line.find(' ');
-        const std::string_view verb = line.substr(0, space);
-        std::string_view rest =
-            space == std::string_view::npos ? "" : line.substr(space + 1);
-        const std::size_t id_end = rest.find(' ');
-        const std::string_view id = rest.substr(0, id_end);
-        const std::optional<std::uint64_t> fleet = fleet_index_of(id);
-        if (!fleet || *fleet >= plan.fleets || !worker.in_flight ||
-            *worker.in_flight != *fleet) {
-            throw SchedError("run_coordinator: protocol violation from worker " +
-                             std::to_string(worker.pid) + ": '" +
-                             std::string(line) + "'");
-        }
-        worker.in_flight.reset();
-        worker.idle_since_ns = obs::now_ns();
-        if (verb == "ok" && try_finish(*fleet)) {
-            board.release(std::string(id));
-            ++stats.nodes_completed;
-            if (obs::enabled()) obs::add_counter("sched.nodes_completed", 1);
-            return;
-        }
-        // "fail ..." or an "ok" whose shard does not verify: retry on
-        // another slot, bounded.
-        if (++retries[*fleet] > config.max_node_retries) {
-            throw SchedError("run_coordinator: node " + std::string(id) +
-                             " failed " + std::to_string(retries[*fleet]) +
-                             " time(s); last reply: '" + std::string(line) +
-                             "'");
-        }
-        requeue(*fleet);
-    };
-
-    try {
-        std::uint64_t last_scan_ms = 0;
-        while (done_count < plan.fleets) {
-            const std::uint64_t now_ms = store::lease_now_ms();
-            if (now_ms - last_scan_ms >= 250) {
-                claim_scan();
-                last_scan_ms = now_ms;
-                if (done_count == plan.fleets) break;
-            }
-
-            // Dispatch: critical-path-first pairing, then the pipe writes.
-            {
-                obs::ScopedTimer dispatch_timer("sched.dispatch_ns");
-                const std::vector<Assignment> picks =
-                    pick_assignments(workers, ready);
-                for (const Assignment& pick : picks) {
-                    WorkerProc& worker = workers[pick.worker];
-                    if (!write_line(worker.to_child,
-                                    "run " + pick.item.id + "\n")) {
-                        requeue(pick.item.node);
-                        on_worker_death(pick.worker);
-                        continue;
-                    }
-                    if (obs::enabled()) {
-                        obs::record_timer("sched.worker_wait_ns",
-                                          obs::now_ns() - worker.idle_since_ns);
-                        obs::add_counter("sched.nodes_dispatched", 1);
-                    }
-                    worker.in_flight = pick.item.node;
-                    state[pick.item.node] = NodeState::InFlight;
-                    ++stats.nodes_dispatched;
-                }
-            }
-
-            std::size_t alive = 0;
-            std::vector<pollfd> fds;
-            std::vector<std::size_t> fd_owner;
-            for (std::size_t w = 0; w < workers.size(); ++w) {
-                if (!workers[w].alive) continue;
-                ++alive;
-                fds.push_back(pollfd{workers[w].from_child, POLLIN, 0});
-                fd_owner.push_back(w);
-            }
-            if (alive == 0) {
-                throw SchedError(
-                    "run_coordinator: every worker died (respawn budget "
-                    "exhausted) with " +
-                    std::to_string(plan.fleets - done_count) +
-                    " node(s) unfinished");
-            }
-            if (::poll(fds.data(), fds.size(), 50) < 0 && errno != EINTR) {
-                throw SchedError(std::string("run_coordinator: poll failed: ") +
-                                 std::strerror(errno));
-            }
-            for (std::size_t at = 0; at < fds.size(); ++at) {
-                if ((fds[at].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-                    continue;
-                }
-                const std::size_t w = fd_owner[at];
-                char chunk[4096];
-                const ssize_t n =
-                    ::read(workers[w].from_child, chunk, sizeof chunk);
-                if (n <= 0) {
-                    if (n < 0 && errno == EINTR) continue;
-                    on_worker_death(w);
-                    continue;
-                }
-                workers[w].buffer.append(chunk, static_cast<std::size_t>(n));
-                std::size_t eol = 0;
-                while ((eol = workers[w].buffer.find('\n')) !=
-                       std::string::npos) {
-                    const std::string line = workers[w].buffer.substr(0, eol);
-                    workers[w].buffer.erase(0, eol + 1);
-                    if (!line.empty()) on_reply(w, line);
-                }
-            }
-        }
-    } catch (...) {
-        shutdown_workers(workers);
-        board.stop();
-        std::signal(SIGPIPE, prior_sigpipe);
-        throw;
     }
 
-    shutdown_workers(workers);
-    board.stop();
-    std::signal(SIGPIPE, prior_sigpipe);
+    for (const std::uint64_t i : pending) {
+        if (try_finish(i)) bump(stats.nodes_completed, "sched.nodes_completed");
+    }
+    if (stats.nodes_completed < pending.size()) {
+        throw SchedError(
+            "run_coordinator: every worker died (respawn budget exhausted) "
+            "with " +
+            std::to_string(pending.size() - stats.nodes_completed) +
+            " node(s) unfinished");
+    }
     return stats;
 }
 

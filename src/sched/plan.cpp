@@ -34,11 +34,12 @@ sim::Odd odd_from_name(const std::string& name) {
 }
 
 std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
-    if (!value.is_number() || value.as_number() < 0) {
+    const std::optional<std::uint64_t> number = value.as_exact_u64();
+    if (!number) {
         throw SchedError("campaign plan field '" + what +
-                         "' is not a non-negative number");
+                         "' is not an integer in [0, 2^53]");
     }
-    return static_cast<std::uint64_t>(value.as_number());
+    return *number;
 }
 
 }  // namespace
@@ -47,19 +48,6 @@ std::string plan_node_id(std::uint64_t fleet_index) {
     std::string digits = std::to_string(fleet_index);
     if (digits.size() < 5) digits.insert(0, 5 - digits.size(), '0');
     return "fleet-" + digits;
-}
-
-std::optional<std::uint64_t> fleet_index_of(std::string_view id) {
-    constexpr std::string_view prefix = "fleet-";
-    if (id.size() <= prefix.size() || id.substr(0, prefix.size()) != prefix) {
-        return std::nullopt;
-    }
-    std::uint64_t value = 0;
-    for (const char ch : id.substr(prefix.size())) {
-        if (ch < '0' || ch > '9') return std::nullopt;
-        value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-    }
-    return value;
 }
 
 std::string campaign_inputs_digest() {

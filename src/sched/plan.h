@@ -54,9 +54,6 @@ struct CampaignPlan {
 /// matching the shard file-name convention).
 [[nodiscard]] std::string plan_node_id(std::uint64_t fleet_index);
 
-/// Inverse of plan_node_id; nullopt for anything else.
-[[nodiscard]] std::optional<std::uint64_t> fleet_index_of(std::string_view id);
-
 /// The opaque inputs digest every campaign cache key folds in: the
 /// serialized incident-type catalog evidence is labelled against. Must
 /// stay identical to what the CLI's plain --store path digests.

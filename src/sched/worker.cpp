@@ -6,11 +6,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sched/plan.h"
@@ -63,134 +62,79 @@ bool fault_fires(const std::optional<Fault>& fault, std::uint64_t fleet_index) {
     return true;
 }
 
-/// The shared execution context of one worker: the plan, the config it
-/// reconstructs, and the store directory shards seal into.
-class NodeRunner {
-public:
-    explicit NodeRunner(const WorkerOptions& options)
-        : store_dir_(options.store_dir),
-          inputs_digest_(campaign_inputs_digest()),
-          fault_mid_shard_(fault_from_env("QRN_SCHED_FAULT_MID_SHARD")) {
-        std::optional<CampaignPlan> plan = read_plan(store_dir_);
-        if (!plan) {
-            throw store::StoreError(
-                store::StoreErrorKind::Io,
-                "no campaign plan in '" + store_dir_ +
-                    "' (run the coordinator first: qrn campaign --distributed "
-                    "--store " +
-                    store_dir_ + ")");
+}  // namespace
+
+int run_standalone_worker(const WorkerOptions& options) {
+    const std::string& dir = options.store_dir;
+    std::optional<CampaignPlan> stored = read_plan(dir);
+    if (!stored) {
+        throw store::StoreError(
+            store::StoreErrorKind::Io,
+            "no campaign plan in '" + dir +
+                "' (run the coordinator first: qrn campaign --distributed "
+                "--store " +
+                dir + ")");
+    }
+    const CampaignPlan plan = std::move(*stored);
+    const std::string inputs_digest = campaign_inputs_digest();
+    verify_plan_keys(plan, inputs_digest);
+    // Fleets run one at a time; the parallelism is the worker count.
+    const sim::CampaignConfig config = config_from_plan(plan, 1);
+    const std::string owner = options.owner.empty()
+                                  ? "worker-" + std::to_string(::getpid())
+                                  : options.owner;
+    const std::string leases = lease_dir(dir);
+    const std::optional<Fault> fault_mid_shard =
+        fault_from_env("QRN_SCHED_FAULT_MID_SHARD");
+    const std::optional<Fault> fault_mid_lease =
+        fault_from_env("QRN_SCHED_FAULT_MID_LEASE");
+
+    const auto shard_path = [&](std::uint64_t i) {
+        return dir + "/" + store::Store::shard_filename(i, plan.nodes[i].key);
+    };
+    // A node is done, no matter who sealed it, when its shard verifies
+    // clean under the plan's key. A sealed shard is never rewritten, so the
+    // rescans below do not verify a node found done again.
+    std::vector<bool> done(plan.fleets, false);
+    const auto shard_done = [&](std::uint64_t i) -> bool {
+        if (!done[i]) {
+            try {
+                const store::ShardInfo info = store::verify_shard(shard_path(i));
+                done[i] = info.cache_key == plan.nodes[i].key &&
+                          info.fleet_index == i;
+            } catch (const store::StoreError&) {
+            }
         }
-        plan_ = std::move(*plan);
-        verify_plan_keys(plan_, inputs_digest_);
-        config_ = config_from_plan(plan_, options.jobs);
-    }
+        return done[i];
+    };
 
-    [[nodiscard]] const CampaignPlan& plan() const noexcept { return plan_; }
-
-    [[nodiscard]] std::string shard_path(std::uint64_t fleet_index) const {
-        return store_dir_ + "/" +
-               store::Store::shard_filename(fleet_index,
-                                            plan_.nodes[fleet_index].key);
-    }
-
-    /// True when the fleet's shard already verifies clean under the plan's
-    /// key: the node is done no matter who sealed it.
-    [[nodiscard]] bool shard_done(std::uint64_t fleet_index) const {
-        try {
-            const store::ShardInfo info =
-                store::verify_shard(shard_path(fleet_index));
-            return info.cache_key == plan_.nodes[fleet_index].key &&
-                   info.fleet_index == fleet_index;
-        } catch (const store::StoreError&) {
-            return false;
-        }
-    }
-
-    /// Simulates and seals the fleet's shard unless it is already done.
-    void execute(std::uint64_t fleet_index) {
-        if (shard_done(fleet_index)) return;
-        if (fault_fires(fault_mid_shard_, fleet_index)) {
+    // Simulates and seals the fleet's shard unless a peer sealed it
+    // between the check in the claim loop and the claim.
+    const auto execute = [&](std::uint64_t i) {
+        if (shard_done(i)) return;
+        if (fault_fires(fault_mid_shard, i)) {
             // A crash mid-seal leaves a garbage temp file behind; the
             // sealed name never appears (write_shard renames last).
-            std::ofstream garbage(
-                shard_path(fleet_index) + std::string(store::kTempSuffix),
-                std::ios::trunc);
+            std::ofstream garbage(shard_path(i) + std::string(store::kTempSuffix),
+                                  std::ios::trunc);
             garbage << "partial write cut short by crash\n";
             garbage.flush();
             std::_Exit(137);
         }
         obs::ScopedTimer timer("sched.node_exec_ns");
-        const store::ShardEntry entry = store::simulate_fleet_shard(
-            config_, store_dir_, fleet_index, inputs_digest_);
+        const store::ShardEntry entry =
+            store::simulate_fleet_shard(config, dir, i, inputs_digest);
         if (obs::enabled()) {
             obs::add_counter("sched.nodes_completed", 1);
             obs::add_counter("store.records_written_by_worker", entry.records);
         }
-    }
-
-private:
-    std::string store_dir_;
-    std::string inputs_digest_;
-    std::optional<Fault> fault_mid_shard_;
-    CampaignPlan plan_;
-    sim::CampaignConfig config_;
-};
-
-/// Protocol replies must stay one line each.
-std::string one_line(std::string text) {
-    for (char& ch : text) {
-        if (ch == '\n' || ch == '\r') ch = ' ';
-    }
-    return text;
-}
-
-}  // namespace
-
-int run_attached_worker(std::istream& in, std::ostream& out,
-                        const WorkerOptions& options) {
-    NodeRunner runner(options);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        constexpr std::string_view kRun = "run ";
-        if (line.size() <= kRun.size() ||
-            std::string_view(line).substr(0, kRun.size()) != kRun) {
-            out << "fail - unknown-command " << one_line(line) << "\n";
-            out.flush();
-            continue;
-        }
-        const std::string id = line.substr(kRun.size());
-        const std::optional<std::uint64_t> fleet = fleet_index_of(id);
-        if (!fleet || *fleet >= runner.plan().fleets) {
-            out << "fail " << id << " unknown-node\n";
-            out.flush();
-            continue;
-        }
-        try {
-            runner.execute(*fleet);
-            out << "ok " << id << "\n";
-        } catch (const std::exception& error) {
-            out << "fail " << id << " " << one_line(error.what()) << "\n";
-        }
-        out.flush();
-    }
-    return 0;
-}
-
-int run_standalone_worker(const WorkerOptions& options) {
-    NodeRunner runner(options);
-    const std::string owner = options.owner.empty()
-                                  ? "worker-" + std::to_string(::getpid())
-                                  : options.owner;
-    const std::string leases = lease_dir(options.store_dir);
-    const std::optional<Fault> fault_mid_lease =
-        fault_from_env("QRN_SCHED_FAULT_MID_LEASE");
+    };
 
     for (;;) {
         bool all_done = true;
         bool progressed = false;
-        for (std::uint64_t i = 0; i < runner.plan().fleets; ++i) {
-            if (runner.shard_done(i)) continue;
+        for (std::uint64_t i = 0; i < plan.fleets; ++i) {
+            if (shard_done(i)) continue;
             all_done = false;
 
             const std::string id = plan_node_id(i);
@@ -213,22 +157,23 @@ int run_standalone_worker(const WorkerOptions& options) {
                 held = true;
             }
             if (!held) continue;
-            if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
 
             if (fault_fires(fault_mid_lease, i)) {
                 // Crash while holding the lease: the file stays behind and
                 // must be stolen after the TTL for the campaign to finish.
                 std::_Exit(137);
             }
-            runner.execute(i);
+            execute(i);
             store::release_lease(leases, id);
             progressed = true;
         }
         if (all_done) return 0;
         if (!progressed) {
             // Every remaining node is leased by a live peer; back off
-            // until something finishes or a lease expires.
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            // until something finishes or a lease expires. A rescan reads
+            // only the unfinished nodes, so a short pause is cheap and
+            // keeps the campaign's tail short.
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
     }
 }

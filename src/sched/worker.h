@@ -1,23 +1,19 @@
 // Scheduler workers: the processes that execute fleet nodes of a
 // distributed campaign.
 //
-// Two modes share one execution path (store::simulate_fleet_shard, the
-// same function behind the local cache-miss branch, so shard bytes never
-// depend on which process sealed them):
+// A worker (`qrn sched worker --store DIR`) runs against a store whose
+// plan the coordinator already wrote. It claims fleet nodes itself via
+// lease files under DIR/sched/leases (acquire free nodes, steal expired
+// leases), executes them through store::simulate_fleet_shard (the same
+// function behind the local cache-miss branch, so shard bytes never depend
+// on which process sealed them), and exits 0 once every fleet shard in the
+// plan verifies clean. The coordinator spawns its workers with exactly this
+// loop, and any number of externally launched ones may join, with or
+// without a coordinator: a node is "done" iff its sealed shard verifies,
+// so duplicate execution only wastes cycles.
 //
-//  - *Attached* (`qrn sched worker --attached`): spawned by the
-//    coordinator with a pipe on stdin/stdout. Reads "run <node-id>" lines,
-//    replies "ok <node-id>" or "fail <node-id> <reason>", exits cleanly on
-//    stdin EOF. The coordinator owns all leases in this mode.
-//
-//  - *Standalone* (`qrn sched worker --store DIR`): launched externally
-//    against a store whose plan the coordinator already wrote. Claims
-//    ready fleet nodes itself via lease files under DIR/sched/leases
-//    (acquire free nodes, steal expired leases), executes them, and exits
-//    0 once every fleet shard in the plan verifies clean. Safe to run any
-//    number of these concurrently with or without a coordinator: a node is
-//    "done" iff its sealed shard verifies, so duplicate execution only
-//    wastes cycles.
+// A worker never renews its lease, so a fleet that runs longer than the
+// TTL may be stolen and run twice: wasted cycles, never different bytes.
 //
 // A worker refuses to participate when its build would not reproduce the
 // plan's cache keys (verify_plan_keys): divergent shards must never enter
@@ -25,26 +21,19 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 namespace qrn::sched {
 
 struct WorkerOptions {
     std::string store_dir;
-    unsigned jobs = 1;                   ///< Reserved; fleets run one at a time.
-    std::uint64_t lease_ttl_ms = 10000;  ///< Standalone lease TTL.
+    std::uint64_t lease_ttl_ms = 10000;  ///< TTL of the leases it claims.
     std::string owner;                   ///< Lease owner id; "" = "worker-<pid>".
 };
 
-/// Attached mode: serve "run <id>" requests from `in`, answer on `out`.
-/// Returns the process exit code (0 on clean EOF).
-int run_attached_worker(std::istream& in, std::ostream& out,
-                        const WorkerOptions& options);
-
-/// Standalone mode: claim-and-execute loop over the store's plan.
-/// Returns 0 when every fleet node's shard verifies clean. Throws
-/// StoreError(Io) when the store has no plan yet.
+/// The claim-and-execute loop over the store's plan. Returns 0 when every
+/// fleet node's shard verifies clean. Throws StoreError(Io) when the store
+/// has no plan yet.
 int run_standalone_worker(const WorkerOptions& options);
 
 }  // namespace qrn::sched

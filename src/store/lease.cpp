@@ -6,8 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "qrn/json.h"
@@ -41,8 +41,7 @@ std::string lease_json(const Lease& lease) {
     return json::Value(std::move(doc)).dump(2) + "\n";
 }
 
-/// Writes `lease` to a temp file unique to this process AND call (the
-/// coordinator's dispatch and renewal threads both write leases), fsync'd
+/// Writes `lease` to a temp file unique to this process AND call, fsync'd
 /// and ready to be published by link(2) or rename(2).
 std::string write_lease_temp(const std::string& dir, const Lease& lease) {
     static std::atomic<std::uint64_t> counter{0};
@@ -105,34 +104,47 @@ bool try_acquire_lease(const std::string& dir, const Lease& lease) {
 
 std::optional<Lease> read_lease(const std::string& dir, const std::string& node) {
     const std::string path = lease_path(dir, node);
-    std::ifstream in(path);
-    if (!in) {
-        std::error_code ec;
-        if (std::filesystem::exists(path, ec)) {
-            throw StoreError(StoreErrorKind::Io,
-                             "lease '" + path + "' exists but cannot be read");
+    // Only the open's own errno tells "no lease" from "unreadable": a peer
+    // may publish or release the file between any two calls.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        if (errno == ENOENT) return std::nullopt;
+        throw_io("open lease", path);
+    }
+    std::string text;
+    char chunk[512];
+    for (;;) {
+        const ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n > 0) {
+            text.append(chunk, static_cast<std::size_t>(n));
+        } else if (n == 0) {
+            break;
+        } else if (errno != EINTR) {
+            const int saved = errno;
+            ::close(fd);
+            errno = saved;
+            throw_io("read lease", path);
         }
-        return std::nullopt;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (in.bad()) {
-        throw StoreError(StoreErrorKind::Io,
-                         "I/O error while reading lease '" + path + "'");
-    }
+    ::close(fd);
 
     Lease lease;
     lease.node = node;
     try {
-        const json::Value doc = json::parse(text.str());
+        const json::Value doc = json::parse(text);
         if (doc.at("kind").as_string() != kLeaseKind ||
             doc.at("node").as_string() != node) {
             throw std::runtime_error("wrong kind or node");
         }
+        const auto field = [&doc](const std::string& name) {
+            const std::optional<std::uint64_t> value = doc.at(name).as_exact_u64();
+            if (!value) throw std::runtime_error(name + " is not an integer in [0, 2^53]");
+            return *value;
+        };
         lease.owner = doc.at("owner").as_string();
-        lease.acquired_ms = static_cast<std::uint64_t>(doc.at("acquired_ms").as_number());
-        lease.ttl_ms = static_cast<std::uint64_t>(doc.at("ttl_ms").as_number());
-        lease.generation = static_cast<std::uint64_t>(doc.at("generation").as_number());
+        lease.acquired_ms = field("acquired_ms");
+        lease.ttl_ms = field("ttl_ms");
+        lease.generation = field("generation");
     } catch (const std::exception&) {
         // A lease that cannot be parsed was written outside the atomic
         // protocol (or hand-damaged). Correctness never depends on lease

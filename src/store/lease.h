@@ -3,9 +3,9 @@
 // A lease is a small JSON file that marks one DAG node as "being worked
 // on" by one owner until a deadline. Acquisition is atomic and exclusive
 // (a fully-written temp file published with link(2), which fails when the
-// lease already exists - no partial lease is ever visible); stealing and
-// renewal atomically REPLACE the file (temp + fsync + rename, the same
-// durability order ShardWriter::seal uses) and bump its generation.
+// lease already exists - no partial lease is ever visible); stealing
+// atomically REPLACES the file (temp + fsync + rename, the same
+// durability order ShardWriter::seal uses) and bumps its generation.
 //
 // Leases are an efficiency device, not a correctness device: they keep two
 // workers from simulating the same fleet at the same time, but the system
@@ -27,9 +27,9 @@ namespace qrn::store {
 struct Lease {
     std::string node;              ///< DAG node id, e.g. "fleet-00042".
     std::string owner;             ///< "<host>:<pid>:<role>"; informational.
-    std::uint64_t acquired_ms = 0; ///< Unix epoch ms at acquire/renew time.
+    std::uint64_t acquired_ms = 0; ///< Unix epoch ms at acquire/steal time.
     std::uint64_t ttl_ms = 0;      ///< Validity window from acquired_ms.
-    std::uint64_t generation = 0;  ///< Bumped by every steal and renewal.
+    std::uint64_t generation = 0;  ///< Bumped by every steal.
 };
 
 /// Unix epoch milliseconds from the system clock - the timebase every
@@ -54,14 +54,15 @@ struct Lease {
 
 /// Reads a node's lease. Returns nullopt when no lease file exists. A
 /// file that cannot be parsed (torn by a dying writer outside the atomic
-/// protocol, or hand-edited) is returned as a zero-TTL lease with owner
+/// protocol, or hand-edited), or whose acquired_ms, ttl_ms or generation is
+/// not an integer in [0, 2^53], is returned as a zero-TTL lease with owner
 /// "<malformed>": always expired, therefore stealable.
 [[nodiscard]] std::optional<Lease> read_lease(const std::string& dir,
                                               const std::string& node);
 
-/// Steal or renew: atomically replaces the node's lease file (temp +
+/// Steal: atomically replaces the node's lease file (temp +
 /// fsync + rename + directory fsync) with `lease` as written - callers
-/// bump `generation` and set `acquired_ms`/`owner` for their case. Unlike
+/// bump `generation` and set `acquired_ms`/`owner`. Unlike
 /// try_acquire_lease this succeeds whether or not a lease exists. Throws
 /// StoreError(Io) on failure.
 void overwrite_lease(const std::string& dir, const Lease& lease);

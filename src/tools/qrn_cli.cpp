@@ -32,24 +32,23 @@
 //                                    (generate -> fleet-i -> aggregate ->
 //                                    verify) whose node identities are the
 //                                    shards' content keys, write the plan
-//                                    to DIR/sched/plan.json, and dispatch
-//                                    fleet nodes to N worker processes
-//                                    (default 2) coordinating purely
-//                                    through lease files in the store.
-//                                    Expired leases are stolen after
-//                                    --sched-ttl-ms (default 10000); a DAG
-//                                    larger than --sched-max-nodes is
-//                                    rejected with diagnostics (exit 1).
+//                                    to DIR/sched/plan.json, and spawn N
+//                                    worker processes (default 2) that
+//                                    claim fleet nodes through lease files
+//                                    in the store. Expired leases are
+//                                    stolen after --sched-ttl-ms (default
+//                                    10000); a DAG larger than
+//                                    --sched-max-nodes is rejected with
+//                                    diagnostics (exit 1).
 //                                    stdout is byte-identical to the same
 //                                    campaign with --jobs 1, at any worker
 //                                    count and across kill/resume cycles.
-//   sched worker --store DIR [--ttl-ms N] [--owner NAME] [--attached]
-//                                    one distributed-campaign worker.
-//                                    Standalone (default): claim fleet
-//                                    nodes of DIR's plan via lease files,
-//                                    steal expired leases, exit 0 once
-//                                    every shard verifies. --attached is
-//                                    the coordinator's internal pipe mode.
+//   sched worker --store DIR [--ttl-ms N] [--owner NAME]
+//                                    one distributed-campaign worker, the
+//                                    same loop the coordinator spawns:
+//                                    claim fleet nodes of DIR's plan via
+//                                    lease files, steal expired leases,
+//                                    exit 0 once every shard verifies.
 //   campaign --splitting L1,L2,... [--splitting-trials N] [--confidence C]
 //            [--policy P] [--seed N] [--odd ...] [--jobs N]
 //                                    rare-event mode (docs/RARE_EVENTS.md):
@@ -490,10 +489,10 @@ int cmd_campaign_store(const sim::CampaignConfig& config, const std::string& dir
 
 /// Campaign in distributed mode (docs/DISTRIBUTED.md): compile the
 /// campaign into a work DAG, write the plan into the store, drive the
-/// fleet nodes through the coordinator + worker processes, then flow
-/// through the *same* store aggregation as a local --store run - which is
-/// why stdout is byte-identical to `--jobs 1` at any worker count, after
-/// any worker death, and across kill/resume cycles.
+/// fleet nodes through the worker processes the coordinator spawns, then
+/// flow through the *same* store aggregation as a local --store run -
+/// which is why stdout is byte-identical to `--jobs 1` at any worker
+/// count, after any worker death, and across kill/resume cycles.
 int cmd_campaign_distributed(const Args& args, const sim::CampaignConfig& config,
                              const std::string& policy_name,
                              const std::string& odd_name,
@@ -579,12 +578,12 @@ int cmd_campaign_distributed(const Args& args, const sim::CampaignConfig& config
     return 0;
 }
 
-/// `qrn sched worker`: one worker process of a distributed campaign,
-/// attached (coordinator pipe protocol) or standalone (lease claim loop).
+/// `qrn sched worker`: one worker process of a distributed campaign (the
+/// lease claim loop).
 int cmd_sched(const Args& args) {
     if (args.subcommand() != "worker") {
         std::cerr << "usage: qrn sched worker --store DIR [--ttl-ms N] "
-                     "[--owner NAME] [--attached]\n";
+                     "[--owner NAME]\n";
         return 1;
     }
     sched::WorkerOptions options;
@@ -595,9 +594,6 @@ int cmd_sched(const Args& args) {
     options.lease_ttl_ms = tools::parse_u64(
         "--ttl-ms", args.option("--ttl-ms").value_or("10000"), 1, 86'400'000);
     if (const auto owner = args.option("--owner")) options.owner = *owner;
-    if (args.has("--attached")) {
-        return sched::run_attached_worker(std::cin, std::cout, options);
-    }
     return sched::run_standalone_worker(options);
 }
 

@@ -102,8 +102,8 @@ TEST(RuleThreadDiscipline, FlagsStdThreadOutsideExec) {
 
 TEST(RuleThreadDiscipline, CoversTheObservabilityLayer) {
     // src/obs promises "no std::thread" (obs/metrics.h design rules); only
-    // src/exec/, src/serve/ and src/sched/ are exempt, so the linter must
-    // keep obs honest.
+    // src/exec/ and src/serve/ are exempt, so the linter must keep obs
+    // honest.
     EXPECT_TRUE(has_rule(lint_source("src/obs/metrics.cpp", "std::thread t(work);"),
                          "thread-discipline"));
 }
@@ -117,9 +117,8 @@ TEST(RuleThreadDiscipline, AllowedInExecServeSchedAndForThisThread) {
     EXPECT_FALSE(has_rule(
         lint_source("src/serve/server.cpp", "accept_thread_ = std::thread(fn);"),
         "thread-discipline"));
-    // src/sched owns the distributed coordinator's lease-renewal thread,
-    // which must tick while the pool is saturated with fleet work.
-    EXPECT_FALSE(has_rule(
+    // src/sched has no thread of its own: its workers are processes.
+    EXPECT_TRUE(has_rule(
         lint_source("src/sched/coordinator.cpp", "renewer_ = std::thread(fn);"),
         "thread-discipline"));
     EXPECT_FALSE(has_rule(

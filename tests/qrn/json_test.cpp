@@ -32,6 +32,20 @@ TEST(JsonValue, ObjectLookup) {
     EXPECT_FALSE(Value(1.0).contains("a"));
 }
 
+TEST(JsonValue, ExactU64AcceptsOnlyIntegersUpTo2To53) {
+    EXPECT_EQ(Value(0.0).as_exact_u64(), 0u);
+    EXPECT_EQ(Value(42.0).as_exact_u64(), 42u);
+    EXPECT_EQ(Value(0x1p53).as_exact_u64(), std::uint64_t{1} << 53);
+    EXPECT_FALSE(Value(0x1p53 + 2.0).as_exact_u64().has_value());
+    EXPECT_FALSE(Value(1e30).as_exact_u64().has_value());
+    EXPECT_FALSE(Value(-1.0).as_exact_u64().has_value());
+    EXPECT_FALSE(Value(1.5).as_exact_u64().has_value());
+    EXPECT_FALSE(Value(std::numeric_limits<double>::quiet_NaN())
+                     .as_exact_u64()
+                     .has_value());
+    EXPECT_FALSE(Value("7").as_exact_u64().has_value());
+}
+
 TEST(JsonDump, CompactForms) {
     EXPECT_EQ(Value().dump(), "null");
     EXPECT_EQ(Value(true).dump(), "true");

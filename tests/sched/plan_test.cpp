@@ -39,12 +39,6 @@ TEST(Plan, NodeIdGrammarRoundTrips) {
     EXPECT_EQ(plan_node_id(0), "fleet-00000");
     EXPECT_EQ(plan_node_id(42), "fleet-00042");
     EXPECT_EQ(plan_node_id(123456), "fleet-123456");
-    EXPECT_EQ(fleet_index_of("fleet-00042"), 42u);
-    EXPECT_EQ(fleet_index_of("fleet-123456"), 123456u);
-    EXPECT_FALSE(fleet_index_of("fleet-").has_value());
-    EXPECT_FALSE(fleet_index_of("fleet-12x").has_value());
-    EXPECT_FALSE(fleet_index_of("aggregate").has_value());
-    EXPECT_FALSE(fleet_index_of("").has_value());
 }
 
 TEST(Plan, MakePlanPinsTheStoreCacheKeys) {
@@ -110,6 +104,34 @@ TEST(Plan, MalformedPlanThrowsSchedError) {
         out << "{\"kind\": \"qrn.evidence\"}\n";  // wrong document kind
     }
     EXPECT_THROW(read_plan(dir), SchedError);
+    // Counts and indices must be integers in [0, 2^53]: a negative, a
+    // fraction (which used to read as fleet 0) and a value no u64 holds.
+    const auto plan_text = [&](const std::string& fleets,
+                               const std::string& fleet_index) {
+        return "{\"kind\": \"qrn.sched.plan\", \"schema_version\": 1, "
+               "\"policy\": \"nominal\", \"odd\": \"urban\", "
+               "\"seed\": \"000000000000000b\", "
+               "\"hours_bits\": \"4034000000000000\", \"fleets\": " +
+               fleets + ", \"nodes\": [{\"fleet_index\": " + fleet_index +
+               ", \"key\": \"0000000000000001\"}]}\n";
+    };
+    {
+        std::ofstream out(plan_path(dir), std::ios::trunc);
+        out << plan_text("1", "0");
+    }
+    ASSERT_TRUE(read_plan(dir).has_value()) << "the well-formed base case";
+    for (const std::string bad : {"-1", "0.5", "1.5", "1e30", "9007199254740994"}) {
+        {
+            std::ofstream out(plan_path(dir), std::ios::trunc);
+            out << plan_text(bad, "0");
+        }
+        EXPECT_THROW(read_plan(dir), SchedError) << "fleets " << bad;
+        {
+            std::ofstream out(plan_path(dir), std::ios::trunc);
+            out << plan_text("1", bad);
+        }
+        EXPECT_THROW(read_plan(dir), SchedError) << "fleet_index " << bad;
+    }
 }
 
 TEST(Plan, KeySkewIsRefused) {

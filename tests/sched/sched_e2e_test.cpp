@@ -1,8 +1,9 @@
 // Crash/steal matrix for the distributed campaign scheduler, run against
 // the real `qrn` binary: kill a worker mid-shard and mid-lease, kill the
-// coordinator after dispatch but before aggregation, resume, and require
-// the healed evidence - stdout and every sealed shard - to be
-// byte-identical to an uninterrupted single-process `--jobs 1` run.
+// coordinator after dispatch but before aggregation, resume, let an
+// external worker join a coordinator's run, and require the healed
+// evidence - stdout and every sealed shard - to be byte-identical to an
+// uninterrupted single-process `--jobs 1` run.
 //
 // This works because a node's identity is its content-addressed shard
 // key: a crash discards at most an unsealed .tmp file, a re-run of the
@@ -68,26 +69,34 @@ struct RunResult {
     std::string err;     ///< Captured stderr bytes.
 };
 
-/// Runs the qrn binary to completion with stdout/stderr captured and the
-/// given environment overlaid (fault injection knobs).
-RunResult run_qrn(const std::string& scratch,
-                  const std::vector<std::string>& args,
-                  const std::vector<std::pair<std::string, std::string>>& env =
-                      {}) {
+/// A qrn process started in the background, with its capture files.
+struct Launched {
+    pid_t pid = -1;
+    std::string out_path;
+    std::string err_path;
+};
+
+/// Starts the qrn binary with stdout/stderr captured and the given
+/// environment overlaid (fault injection knobs).
+Launched start_qrn(const std::string& scratch,
+                   const std::vector<std::string>& args,
+                   const std::vector<std::pair<std::string, std::string>>& env =
+                       {}) {
     static int serial = 0;
     const std::string tag = scratch + "/run" + std::to_string(serial++);
-    const std::string out_path = tag + ".out";
-    const std::string err_path = tag + ".err";
+    Launched launched;
+    launched.out_path = tag + ".out";
+    launched.err_path = tag + ".err";
 
-    const pid_t pid = fork();
-    if (pid == 0) {
+    launched.pid = fork();
+    if (launched.pid == 0) {
         for (const auto& [key, value] : env) {
             ::setenv(key.c_str(), value.c_str(), 1);
         }
-        const int out_fd =
-            ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        const int err_fd =
-            ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        const int out_fd = ::open(launched.out_path.c_str(),
+                                  O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        const int err_fd = ::open(launched.err_path.c_str(),
+                                  O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (out_fd < 0 || err_fd < 0) _exit(126);
         ::dup2(out_fd, 1);
         ::dup2(err_fd, 2);
@@ -102,17 +111,30 @@ RunResult run_qrn(const std::string& scratch,
         ::execv(QRN_CLI_PATH, argv.data());
         _exit(127);
     }
+    return launched;
+}
+
+/// Waits for a started qrn process and collects its exit code and output.
+RunResult finish_qrn(const Launched& launched) {
     int status = 0;
-    ::waitpid(pid, &status, 0);
+    ::waitpid(launched.pid, &status, 0);
     RunResult result;
     if (WIFEXITED(status)) {
         result.exit_code = WEXITSTATUS(status);
     } else if (WIFSIGNALED(status)) {
         result.exit_code = 128 + WTERMSIG(status);
     }
-    result.out = read_file_bytes(out_path);
-    result.err = read_file_bytes(err_path);
+    result.out = read_file_bytes(launched.out_path);
+    result.err = read_file_bytes(launched.err_path);
     return result;
+}
+
+/// Runs the qrn binary to completion (see start_qrn).
+RunResult run_qrn(const std::string& scratch,
+                  const std::vector<std::string>& args,
+                  const std::vector<std::pair<std::string, std::string>>& env =
+                      {}) {
+    return finish_qrn(start_qrn(scratch, args, env));
 }
 
 /// A fresh scratch directory per test.
@@ -197,6 +219,31 @@ TEST(SchedE2e, WorkerKilledMidShardHeals) {
         << dist.err;
 }
 
+TEST(SchedE2e, DeadWorkerLeaseIsReleasedWithoutWaitingOutTheTtl) {
+    const auto scratch = scratch_for("dead_lease");
+    const RunResult baseline =
+        run_single_process_baseline(scratch, scratch + "/base");
+
+    // The worker that dies mid-shard still holds fleet 1's lease. Under a
+    // ten-minute TTL the run can only finish in seconds if the coordinator
+    // releases the leases of the child it reaped.
+    const std::string marker = scratch + "/dead_lease.fired";
+    auto args = distributed_args(scratch + "/dist", "2");
+    args.push_back("--sched-ttl-ms");
+    args.push_back("600000");
+    const auto start = std::chrono::steady_clock::now();
+    const RunResult dist =
+        run_qrn(scratch, args, {{"QRN_SCHED_FAULT_MID_SHARD", "1:" + marker}});
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(dist.exit_code, 0) << dist.err;
+    EXPECT_TRUE(std::filesystem::exists(marker)) << "fault never fired";
+    EXPECT_LT(elapsed, std::chrono::seconds(60));
+    EXPECT_EQ(dist.out, baseline.out);
+    EXPECT_EQ(shard_bytes(scratch + "/dist"), shard_bytes(scratch + "/base"));
+    EXPECT_NE(dist.err.find("1 worker failure(s)"), std::string::npos)
+        << dist.err;
+}
+
 TEST(SchedE2e, WorkerKilledMidLeaseThenStolen) {
     const auto scratch = scratch_for("mid_lease");
     const RunResult baseline =
@@ -277,6 +324,27 @@ TEST(SchedE2e, StandaloneWorkerCompletesPlanAlone) {
         run_qrn(scratch, {"sched", "worker", "--store", store});
     ASSERT_EQ(worker.exit_code, 0) << worker.err;
     EXPECT_EQ(shard_bytes(store), shard_bytes(scratch + "/base"));
+}
+
+TEST(SchedE2e, ExternalWorkerJoinsADistributedRun) {
+    const auto scratch = scratch_for("mixed");
+    const RunResult baseline =
+        run_single_process_baseline(scratch, scratch + "/base");
+
+    // An externally launched worker and a coordinator with one worker of
+    // its own drain the same pre-seeded plan side by side; whichever seals
+    // a node, the evidence and the shards are the baseline's.
+    const std::string store = scratch + "/dist";
+    write_plan_for_campaign(store);
+    const Launched external =
+        start_qrn(scratch, {"sched", "worker", "--store", store});
+    const RunResult dist = run_qrn(scratch, distributed_args(store, "1"));
+    const RunResult worker = finish_qrn(external);
+    ASSERT_EQ(dist.exit_code, 0) << dist.err;
+    ASSERT_EQ(worker.exit_code, 0) << worker.err;
+    EXPECT_EQ(dist.out, baseline.out);
+    EXPECT_EQ(shard_bytes(store), shard_bytes(scratch + "/base"));
+    EXPECT_NE(dist.err.find("sched: verify ok"), std::string::npos) << dist.err;
 }
 
 TEST(SchedE2e, WorkerWithoutAPlanExitsIo) {

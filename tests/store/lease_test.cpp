@@ -3,6 +3,10 @@
 // is the distributed scheduler's only mutual-exclusion primitive, so its
 // edge cases (double acquire, release-after-steal, malformed bytes) are
 // pinned here rather than discovered in a flaky campaign.
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -104,6 +108,66 @@ TEST(Lease, MalformedFileReadsAsAlwaysStealable) {
     const auto healed = store::read_lease(dir, "n");
     ASSERT_TRUE(healed.has_value());
     EXPECT_EQ(healed->owner, "healer");
+}
+
+TEST(Lease, NonIntegralOrOutOfRangeFieldsReadAsMalformed) {
+    const auto dir = lease_dir_for("numbers");
+    // A lease whose numeric fields are all 5, except `field`, which holds
+    // `value`.
+    const auto write_lease = [&](const std::string& field,
+                                 const std::string& value) {
+        std::ofstream out(store::lease_path(dir, "n"), std::ios::trunc);
+        out << "{\"kind\": \"qrn.lease\", \"node\": \"n\", \"owner\": \"o\"";
+        for (const std::string name : {"acquired_ms", "ttl_ms", "generation"}) {
+            out << ", \"" << name << "\": " << (name == field ? value : "5");
+        }
+        out << "}\n";
+    };
+    write_lease("", "");
+    const auto good = store::read_lease(dir, "n");
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->owner, "o");
+    EXPECT_EQ(good->ttl_ms, 5u);
+
+    // A negative, a fraction or a value no u64 holds in any one field makes
+    // the whole lease malformed, and so stealable.
+    for (const std::string field : {"acquired_ms", "ttl_ms", "generation"}) {
+        for (const std::string bad : {"-1", "1.5", "1e30"}) {
+            write_lease(field, bad);
+            const auto lease = store::read_lease(dir, "n");
+            ASSERT_TRUE(lease.has_value());
+            EXPECT_EQ(lease->owner, "<malformed>") << field << " = " << bad;
+            EXPECT_EQ(lease->ttl_ms, 0u) << field << " = " << bad;
+            EXPECT_TRUE(store::lease_expired(*lease, store::lease_now_ms()));
+        }
+    }
+}
+
+TEST(Lease, ReadRacingAcquireAndReleaseNeverThrows) {
+    const auto dir = lease_dir_for("race");
+    // Another process publishes and removes the lease as fast as it can;
+    // every read must see a lease or none, never an I/O error.
+    const pid_t churner = ::fork();
+    if (churner == 0) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+        while (std::chrono::steady_clock::now() < until) {
+            if (store::try_acquire_lease(dir, make_lease("n", "churn", 60000, 1))) {
+                store::release_lease(dir, "n");
+            }
+        }
+        ::_exit(0);
+    }
+    ASSERT_GT(churner, 0);
+    std::size_t errors = 0;
+    while (::waitpid(churner, nullptr, WNOHANG) == 0) {
+        try {
+            (void)store::read_lease(dir, "n");
+        } catch (const store::StoreError&) {
+            ++errors;
+        }
+    }
+    EXPECT_EQ(errors, 0u);
 }
 
 TEST(Lease, AcquireLeavesNoTempFilesBehind) {
