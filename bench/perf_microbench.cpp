@@ -23,7 +23,6 @@
 
 #include "obs/metrics.h"
 #include "sched/plan.h"
-#include "sched/ready_queue.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -383,12 +382,11 @@ void BM_ServeClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeClassify)->Arg(512)->Arg(4096)->UseRealTime();
 
-/// The distributed coordinator's per-campaign scheduling overhead: compile
-/// a range(0)-fleet campaign into its work DAG (content keys, topo order,
-/// critical-path levels, budget metrics) and drain the ready queue in
-/// dispatch order, per fleet node. This is everything the coordinator does
-/// besides waiting on workers, so it bounds how small a shard can get
-/// before scheduling dominates simulation.
+/// The distributed coordinator's per-campaign set-up cost besides the
+/// plan itself: compile a range(0)-fleet plan into its work DAG, measure
+/// its shape and gate it against the default budget, per fleet node. The
+/// budget admits 100000 fleets, so the /100000 row is the largest
+/// campaign the CLI accepts; every step is linear in the node count.
 void BM_SchedDispatch(benchmark::State& state) {
     sched::CampaignPlan shape;
     shape.policy = "nominal";
@@ -401,19 +399,12 @@ void BM_SchedDispatch(benchmark::State& state) {
         shape.policy, shape.odd, config, sched::campaign_inputs_digest());
     for (auto _ : state) {
         const sched::Dag dag = sched::build_campaign_dag(plan);
-        benchmark::DoNotOptimize(sched::compute_metrics(dag));
-        sched::ReadyQueue ready;
-        for (const sched::PlanNode& node : plan.nodes) {
-            const auto i = *dag.index_of(sched::plan_node_id(node.fleet_index));
-            ready.push(sched::ReadyItem{i, dag.level(i), dag.node(i).id});
-        }
-        while (!ready.empty()) {
-            benchmark::DoNotOptimize(ready.pop());
-        }
+        benchmark::DoNotOptimize(sched::check_budget(
+            sched::compute_metrics(dag), sched::DagBudget::campaign_default()));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000);
+BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// Collects finished runs so a JSON baseline can be written after the
 /// console report. GetAdjustedRealTime() already folds in the per-

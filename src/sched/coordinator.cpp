@@ -8,13 +8,13 @@
 
 #include <cerrno>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "store/lease.h"
-#include "store/shard.h"
 #include "store/store.h"
 
 extern char** environ;
@@ -141,41 +141,32 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& /*dag*/,
     CoordinatorStats stats;
     bump(stats.nodes_total, "sched.nodes_total", plan.fleets);
 
-    // Verifies the node's shard against the plan key and records it in the
-    // manifest (this process is the manifest's single writer). Returns
-    // false when the shard is absent or does not verify.
-    const auto try_finish = [&](std::uint64_t i) {
-        const std::string file =
-            store::Store::shard_filename(i, plan.nodes[i].key);
-        try {
-            const store::ShardInfo info =
-                store::verify_shard(config.store_dir + "/" + file);
-            if (info.cache_key != plan.nodes[i].key || info.fleet_index != i) {
-                return false;
+    // A sweep moves every fleet whose shard, found by name, verifies under
+    // the plan key into `done`, records `done` in one manifest write (this
+    // process is the manifest's single writer) and returns the rest.
+    std::vector<store::ShardEntry> done;
+    const auto sweep = [&](const std::vector<std::uint64_t>& fleets) {
+        std::vector<std::uint64_t> left;
+        for (const std::uint64_t i : fleets) {
+            if (auto sealed = store::find_sealed_shard(config.store_dir, i,
+                                                       plan.nodes[i].key);
+                sealed.entry) {
+                done.push_back(std::move(*sealed.entry));
+            } else {
+                left.push_back(i);
             }
-            store::ShardEntry entry;
-            entry.fleet_index = i;
-            entry.file = file;
-            entry.cache_key = plan.nodes[i].key;
-            entry.records = info.records;
-            entry.exposure_hours = info.totals.exposure_hours;
-            db.record(entry);
-            return true;
-        } catch (const store::StoreError&) {
-            return false;
         }
+        db.record(done);
+        return left;
     };
-
     // Resume sweep: anything already sealed (a previous run, or standalone
-    // workers that got here first) is done before we spawn anything.
-    std::vector<std::uint64_t> pending;
-    for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-        if (try_finish(i)) {
-            bump(stats.nodes_reused, "sched.nodes_reused");
-        } else {
-            pending.push_back(i);
-        }
-    }
+    // workers that got here first) is done before we spawn anything. Its
+    // record also gives a fresh store its manifest, so --resume works
+    // after this run is killed.
+    std::vector<std::uint64_t> pending(plan.fleets);
+    std::iota(pending.begin(), pending.end(), std::uint64_t{0});
+    pending = sweep(pending);
+    bump(stats.nodes_reused, "sched.nodes_reused", done.size());
     if (pending.empty()) return stats;
     bump(stats.nodes_dispatched, "sched.nodes_dispatched", pending.size());
 
@@ -227,15 +218,15 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& /*dag*/,
         }
     }
 
-    for (const std::uint64_t i : pending) {
-        if (try_finish(i)) bump(stats.nodes_completed, "sched.nodes_completed");
-    }
-    if (stats.nodes_completed < pending.size()) {
+    // Final sweep: everything the workers sealed, recorded in one write.
+    const std::vector<std::uint64_t> left = sweep(pending);
+    bump(stats.nodes_completed, "sched.nodes_completed",
+         pending.size() - left.size());
+    if (!left.empty()) {
         throw SchedError(
             "run_coordinator: every worker died (respawn budget exhausted) "
             "with " +
-            std::to_string(pending.size() - stats.nodes_completed) +
-            " node(s) unfinished");
+            std::to_string(left.size()) + " node(s) unfinished");
     }
     return stats;
 }

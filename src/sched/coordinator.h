@@ -3,10 +3,12 @@
 //
 // The coordinator is deliberately stateless across restarts: everything it
 // needs to resume lives in the store (the plan, the lease files, and the
-// sealed shards themselves - a node is "done" iff its shard verifies
-// clean). Killing the coordinator at any point and rerunning the same
-// command heals to byte-identical output, because the only authoritative
-// state transition is the atomic shard seal.
+// sealed shards themselves - a node is "done" iff the shard its key names
+// verifies clean, store::find_sealed_shard). Killing the coordinator at
+// any point and rerunning the same command heals to byte-identical output,
+// because the only authoritative state transition is the atomic shard
+// seal. The manifest is written at most twice per run: once after the
+// resume sweep and once after the final sweep.
 //
 // Worker management: N child processes of this binary run the same
 // lease-claiming loop as any externally launched worker (`qrn sched worker
@@ -49,8 +51,9 @@ struct CoordinatorStats {
 };
 
 /// Drives every fleet node of the plan to "done" (sealed shard verifies
-/// clean) and records each into the store manifest, making this process
-/// the manifest's single writer. Returns when all fleet nodes are done.
+/// clean) and records the done nodes into the store manifest after each
+/// sweep, making this process the manifest's single writer. Returns when
+/// all fleet nodes are done.
 /// Throws SchedError when the campaign cannot finish (every worker died
 /// past its respawn budget) and StoreError(Io) on store failures.
 [[nodiscard]] CoordinatorStats run_coordinator(const CampaignPlan& plan,

@@ -1,46 +1,17 @@
 #include "sched/dag.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
+#include <numeric>
 
 namespace qrn::sched {
 
-namespace {
-
-/// Kahn's ready set as an index-ordered min-heap: pop the smallest index
-/// first so the topological order is a pure function of the graph.
-class IndexHeap {
-public:
-    void push(std::size_t value) {
-        heap_.push_back(value);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    }
-    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-    std::size_t pop() {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        const std::size_t value = heap_.back();
-        heap_.pop_back();
-        return value;
-    }
-
-private:
-    std::vector<std::size_t> heap_;
-};
-
-}  // namespace
-
-std::size_t Dag::add_node(std::string id, double weight) {
+std::size_t Dag::add_node(std::string id) {
     if (built_) throw SchedError("Dag::add_node: graph is already built");
     if (id.empty()) throw SchedError("Dag::add_node: node id must not be empty");
-    if (!std::isfinite(weight) || weight < 0.0) {
-        throw SchedError("Dag::add_node: weight of '" + id +
-                         "' must be finite and >= 0");
-    }
-    if (index_of(id)) {
+    if (!index_.try_emplace(id, nodes_.size()).second) {
         throw SchedError("Dag::add_node: duplicate node id '" + id + "'");
     }
-    nodes_.push_back(DagNode{std::move(id), weight});
+    nodes_.push_back(DagNode{std::move(id)});
     succs_.emplace_back();
     preds_.emplace_back();
     return nodes_.size() - 1;
@@ -56,38 +27,41 @@ void Dag::add_edge(std::size_t from, std::size_t to) {
     if (from == to) {
         throw SchedError("Dag::add_edge: self-edge on '" + nodes_[from].id + "'");
     }
+    // The campaign DAG's hub (generate fans out to every fleet) has a long
+    // successor list, but each fleet's predecessor list is short.
     auto& out = succs_[from];
-    if (std::find(out.begin(), out.end(), to) != out.end()) return;
+    auto& in = preds_[to];
+    const bool duplicate = out.size() <= in.size()
+                               ? std::find(out.begin(), out.end(), to) != out.end()
+                               : std::find(in.begin(), in.end(), from) != in.end();
+    if (duplicate) return;
     out.push_back(to);
-    preds_[to].push_back(from);
+    in.push_back(from);
     ++edges_;
 }
 
 std::optional<std::size_t> Dag::index_of(std::string_view id) const {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (nodes_[i].id == id) return i;
-    }
-    return std::nullopt;
+    const auto it = index_.find(std::string(id));
+    if (it == index_.end()) return std::nullopt;
+    return it->second;
 }
 
 void Dag::build() {
     if (built_) return;
 
-    // Kahn with an index-ordered ready heap: deterministic topo order and
-    // cycle detection in one pass.
+    // Kahn's algorithm with topo_ as its own FIFO: the sources in index
+    // order, then each node once its last predecessor is placed. One pass
+    // gives the order and detects cycles.
     std::vector<std::size_t> indegree(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) indegree[i] = preds_[i].size();
-    IndexHeap ready;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (indegree[i] == 0) ready.push(i);
-    }
     topo_.clear();
     topo_.reserve(nodes_.size());
-    while (!ready.empty()) {
-        const std::size_t at = ready.pop();
-        topo_.push_back(at);
-        for (const std::size_t succ : succs_[at]) {
-            if (--indegree[succ] == 0) ready.push(succ);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        indegree[i] = preds_[i].size();
+        if (indegree[i] == 0) topo_.push_back(i);
+    }
+    for (std::size_t head = 0; head < topo_.size(); ++head) {
+        for (const std::size_t succ : succs_[topo_[head]]) {
+            if (--indegree[succ] == 0) topo_.push_back(succ);
         }
     }
     if (topo_.size() != nodes_.size()) {
@@ -101,17 +75,6 @@ void Dag::build() {
         throw SchedError("Dag::build: dependency cycle through node '" + worst +
                          "'");
     }
-
-    // Critical-path levels in reverse topological order: each node's level
-    // is its own weight plus the heaviest successor chain.
-    levels_.assign(nodes_.size(), 0.0);
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-        double below = 0.0;
-        for (const std::size_t succ : succs_[*it]) {
-            below = std::max(below, levels_[succ]);
-        }
-        levels_[*it] = nodes_[*it].weight + below;
-    }
     built_ = true;
 }
 
@@ -120,11 +83,6 @@ void Dag::require_built(const char* what) const {
         throw SchedError(std::string("Dag::") + what +
                          ": call build() before querying the frozen graph");
     }
-}
-
-double Dag::level(std::size_t i) const {
-    require_built("level");
-    return levels_.at(i);
 }
 
 const std::vector<std::size_t>& Dag::topo_order() const {
@@ -136,21 +94,25 @@ namespace {
 
 /// Top-K offenders by degree, descending, ties broken by id so the
 /// diagnostics are deterministic.
-std::vector<DagMetrics::Offender> top_by_degree(
-    const Dag& dag, std::size_t top_k,
-    const std::function<std::size_t(std::size_t)>& degree_of) {
-    std::vector<DagMetrics::Offender> all;
-    all.reserve(dag.size());
-    for (std::size_t i = 0; i < dag.size(); ++i) {
-        all.push_back({dag.node(i).id, degree_of(i)});
+template <typename DegreeOf>
+std::vector<DagMetrics::Offender> top_by_degree(const Dag& dag, std::size_t top_k,
+                                                const DegreeOf& degree_of) {
+    std::vector<std::size_t> order(dag.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const std::size_t keep = std::min(top_k, order.size());
+    std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep),
+                      order.end(), [&](std::size_t a, std::size_t b) {
+                          if (degree_of(a) != degree_of(b)) {
+                              return degree_of(a) > degree_of(b);
+                          }
+                          return dag.node(a).id < dag.node(b).id;
+                      });
+    std::vector<DagMetrics::Offender> top;
+    top.reserve(keep);
+    for (std::size_t k = 0; k < keep; ++k) {
+        top.push_back({dag.node(order[k]).id, degree_of(order[k])});
     }
-    std::sort(all.begin(), all.end(),
-              [](const DagMetrics::Offender& a, const DagMetrics::Offender& b) {
-                  if (a.degree != b.degree) return a.degree > b.degree;
-                  return a.id < b.id;
-              });
-    if (all.size() > top_k) all.resize(top_k);
-    return all;
+    return top;
 }
 
 }  // namespace
@@ -178,36 +140,6 @@ DagMetrics compute_metrics(const Dag& dag, std::size_t top_k) {
         dag, top_k, [&](std::size_t i) { return dag.succs(i).size(); });
     m.top_fanin = top_by_degree(
         dag, top_k, [&](std::size_t i) { return dag.preds(i).size(); });
-
-    // Walk the critical path: start from the source with the highest
-    // level, follow the heaviest successor; ties break by id.
-    std::size_t at = 0;
-    bool found = false;
-    for (std::size_t i = 0; i < dag.size(); ++i) {
-        if (!dag.preds(i).empty()) continue;
-        if (!found || dag.level(i) > dag.level(at) ||
-            (dag.level(i) == dag.level(at) && dag.node(i).id < dag.node(at).id)) {
-            at = i;
-            found = true;
-        }
-    }
-    if (found) {
-        m.critical_path_weight = dag.level(at);
-        for (;;) {
-            m.critical_path.push_back(dag.node(at).id);
-            const auto& succs = dag.succs(at);
-            if (succs.empty()) break;
-            std::size_t next = succs.front();
-            for (const std::size_t succ : succs) {
-                if (dag.level(succ) > dag.level(next) ||
-                    (dag.level(succ) == dag.level(next) &&
-                     dag.node(succ).id < dag.node(next).id)) {
-                    next = succ;
-                }
-            }
-            at = next;
-        }
-    }
     return m;
 }
 

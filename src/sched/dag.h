@@ -1,16 +1,17 @@
-// The campaign work DAG: nodes with weights, dependency edges,
-// deterministic topological order and critical-path levels.
+// The campaign work DAG: nodes, dependency edges, a deterministic
+// topological order, and the size/shape budget a plan must pass.
 //
 // A distributed campaign is compiled into this graph (sched/plan.h builds
 // the concrete generate -> simulate-fleet-i -> aggregate -> verify shape)
-// and the coordinator dispatches READY nodes in descending critical-path
-// order: the node whose remaining chain to the sink is longest goes first,
-// so stragglers on the critical path never wait behind bulk work. The
-// representation follows the artidoro scheduling exemplar (dag.h adjacency
-// + indegree, levels as longest-path-to-sink weights); the hard/soft
-// budget machinery follows the ranking-dsl complexity-budget exemplar
-// (SNIPPETS.md #3): hard limits reject the plan outright (CLI exit 1),
-// soft limits warn with top-offender diagnostics.
+// before any worker starts. The graph does not order dispatch - workers
+// claim fleet nodes through leases in fleet order - it is the plan's
+// shape, checked against a budget so that every campaign the gate admits
+// is one the scheduler can run. The representation follows the artidoro
+// scheduling exemplar (adjacency + indegree, Kahn's algorithm); the
+// hard/soft budget machinery follows the ranking-dsl complexity-budget
+// exemplar (SNIPPETS.md #3): hard limits reject the plan outright (CLI
+// exit 1), soft limits warn with top-offender diagnostics. Every step is
+// linear in nodes plus edges.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +19,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace qrn::sched {
@@ -30,26 +33,23 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// One unit of work. `weight` is the node's estimated cost in arbitrary
-/// units (the campaign DAG uses simulated hours); it feeds the
-/// critical-path levels that order dispatch, never correctness.
+/// One unit of work.
 struct DagNode {
     std::string id;
-    double weight = 1.0;
 };
 
 /// A directed acyclic dependency graph. add_node/add_edge accumulate,
-/// build() freezes: computes indegrees, a deterministic topological order
-/// and critical-path levels, and rejects cycles. Accessors that need the
-/// frozen form throw SchedError before build().
+/// build() freezes: computes a deterministic topological order and rejects
+/// cycles. Accessors that need the frozen form throw SchedError before
+/// build().
 class Dag {
 public:
-    /// Adds a node and returns its index. Ids must be unique and
-    /// non-empty; weight must be finite and >= 0.
-    std::size_t add_node(std::string id, double weight = 1.0);
+    /// Adds a node and returns its index. Ids must be unique and non-empty.
+    std::size_t add_node(std::string id);
 
     /// Declares "`from` must finish before `to` may start". Self-edges are
-    /// rejected; duplicate edges are stored once.
+    /// rejected; duplicate edges are stored once (found by scanning the
+    /// shorter of the two adjacency lists).
     void add_edge(std::size_t from, std::size_t to);
 
     /// Freezes the graph. Throws SchedError naming a node on the cycle
@@ -68,23 +68,18 @@ public:
         return succs_.at(i);
     }
 
-    /// Critical-path level: the node's weight plus the heaviest chain of
-    /// successors below it (a sink's level is its own weight). Higher
-    /// level = more of the campaign is waiting behind this node.
-    [[nodiscard]] double level(std::size_t i) const;
-
-    /// Deterministic topological order: Kahn's algorithm with the
-    /// smallest-index ready node first, so the order depends only on the
-    /// graph, never on hashing or timing.
+    /// Deterministic topological order: Kahn's algorithm seeded with the
+    /// sources in index order and a FIFO ready list, so the order depends
+    /// only on the graph, never on hashing or timing.
     [[nodiscard]] const std::vector<std::size_t>& topo_order() const;
 
 private:
     void require_built(const char* what) const;
 
     std::vector<DagNode> nodes_;
+    std::unordered_map<std::string, std::size_t> index_;  ///< id -> index.
     std::vector<std::vector<std::size_t>> succs_;
     std::vector<std::vector<std::size_t>> preds_;
-    std::vector<double> levels_;
     std::vector<std::size_t> topo_;
     std::size_t edges_ = 0;
     bool built_ = false;
@@ -98,15 +93,13 @@ struct DagMetrics {
     std::size_t max_depth = 0;    ///< Nodes on the longest path.
     std::size_t fanout_peak = 0;  ///< Max out-degree.
     std::size_t fanin_peak = 0;   ///< Max in-degree.
-    double critical_path_weight = 0.0;
 
     struct Offender {
         std::string id;
         std::size_t degree = 0;
     };
-    std::vector<Offender> top_fanout;        ///< Top-K by out-degree, desc.
-    std::vector<Offender> top_fanin;         ///< Top-K by in-degree, desc.
-    std::vector<std::string> critical_path;  ///< Node ids, source to sink.
+    std::vector<Offender> top_fanout;  ///< Top-K by out-degree, desc.
+    std::vector<Offender> top_fanin;   ///< Top-K by in-degree, desc.
 };
 
 [[nodiscard]] DagMetrics compute_metrics(const Dag& dag, std::size_t top_k = 5);

@@ -18,21 +18,6 @@ namespace {
 constexpr std::string_view kPlanKind = "qrn.sched.plan";
 constexpr int kPlanSchemaVersion = 1;
 
-sim::TacticalPolicy policy_from_name(const std::string& name) {
-    if (name == "cautious") return sim::TacticalPolicy::cautious();
-    if (name == "nominal") return sim::TacticalPolicy::nominal();
-    if (name == "performance") return sim::TacticalPolicy::performance();
-    throw SchedError("campaign plan names unknown policy '" + name +
-                     "' (a plan from a different build?)");
-}
-
-sim::Odd odd_from_name(const std::string& name) {
-    if (name == "urban") return sim::Odd::urban();
-    if (name == "highway") return sim::Odd::highway();
-    throw SchedError("campaign plan names unknown ODD '" + name +
-                     "' (a plan from a different build?)");
-}
-
 std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
     const std::optional<std::uint64_t> number = value.as_exact_u64();
     if (!number) {
@@ -77,8 +62,18 @@ CampaignPlan make_plan(std::string policy, std::string odd,
 
 sim::CampaignConfig config_from_plan(const CampaignPlan& plan, unsigned jobs) {
     sim::CampaignConfig config;
-    config.base.policy = policy_from_name(plan.policy);
-    config.base.odd = odd_from_name(plan.odd);
+    const auto policy = sim::TacticalPolicy::by_name(plan.policy);
+    if (!policy) {
+        throw SchedError("campaign plan names unknown policy '" + plan.policy +
+                         "' (a plan from a different build?)");
+    }
+    const auto odd = sim::Odd::by_name(plan.odd);
+    if (!odd) {
+        throw SchedError("campaign plan names unknown ODD '" + plan.odd +
+                         "' (a plan from a different build?)");
+    }
+    config.base.policy = *policy;
+    config.base.odd = *odd;
     config.base.seed = plan.seed;
     config.fleets = plan.fleets;
     config.hours_per_fleet = plan.hours_per_fleet;
@@ -235,12 +230,11 @@ std::optional<CampaignPlan> read_plan(const std::string& store_dir) {
 
 Dag build_campaign_dag(const CampaignPlan& plan) {
     Dag dag;
-    const std::size_t generate = dag.add_node(std::string(kGenerateNode), 1.0);
-    const std::size_t aggregate = dag.add_node(std::string(kAggregateNode), 1.0);
-    const std::size_t verify = dag.add_node(std::string(kVerifyNode), 1.0);
+    const std::size_t generate = dag.add_node(std::string(kGenerateNode));
+    const std::size_t aggregate = dag.add_node(std::string(kAggregateNode));
+    const std::size_t verify = dag.add_node(std::string(kVerifyNode));
     for (const PlanNode& node : plan.nodes) {
-        const std::size_t fleet =
-            dag.add_node(plan_node_id(node.fleet_index), plan.hours_per_fleet);
+        const std::size_t fleet = dag.add_node(plan_node_id(node.fleet_index));
         dag.add_edge(generate, fleet);
         dag.add_edge(fleet, aggregate);
     }

@@ -89,8 +89,8 @@ void write_plan(const std::string& store_dir, const CampaignPlan& plan);
 /// StoreError(Io) when it cannot be read.
 [[nodiscard]] std::optional<CampaignPlan> read_plan(const std::string& store_dir);
 
-/// The campaign work DAG: generate -> fleet-i (weight hours_per_fleet)
-/// -> aggregate -> verify, built and frozen.
+/// The campaign work DAG: generate -> fleet-i -> aggregate -> verify,
+/// built and frozen.
 [[nodiscard]] Dag build_campaign_dag(const CampaignPlan& plan);
 
 }  // namespace qrn::sched

@@ -16,7 +16,6 @@
 #include "store/campaign_store.h"
 #include "store/format.h"
 #include "store/lease.h"
-#include "store/shard.h"
 #include "store/store.h"
 
 namespace qrn::sched {
@@ -89,21 +88,14 @@ int run_standalone_worker(const WorkerOptions& options) {
     const std::optional<Fault> fault_mid_lease =
         fault_from_env("QRN_SCHED_FAULT_MID_LEASE");
 
-    const auto shard_path = [&](std::uint64_t i) {
-        return dir + "/" + store::Store::shard_filename(i, plan.nodes[i].key);
-    };
     // A node is done, no matter who sealed it, when its shard verifies
     // clean under the plan's key. A sealed shard is never rewritten, so the
     // rescans below do not verify a node found done again.
     std::vector<bool> done(plan.fleets, false);
     const auto shard_done = [&](std::uint64_t i) -> bool {
         if (!done[i]) {
-            try {
-                const store::ShardInfo info = store::verify_shard(shard_path(i));
-                done[i] = info.cache_key == plan.nodes[i].key &&
-                          info.fleet_index == i;
-            } catch (const store::StoreError&) {
-            }
+            done[i] = store::find_sealed_shard(dir, i, plan.nodes[i].key)
+                          .entry.has_value();
         }
         return done[i];
     };
@@ -115,8 +107,10 @@ int run_standalone_worker(const WorkerOptions& options) {
         if (fault_fires(fault_mid_shard, i)) {
             // A crash mid-seal leaves a garbage temp file behind; the
             // sealed name never appears (write_shard renames last).
-            std::ofstream garbage(shard_path(i) + std::string(store::kTempSuffix),
-                                  std::ios::trunc);
+            std::ofstream garbage(
+                dir + "/" + store::Store::shard_filename(i, plan.nodes[i].key) +
+                    std::string(store::kTempSuffix),
+                std::ios::trunc);
             garbage << "partial write cut short by crash\n";
             garbage.flush();
             std::_Exit(137);

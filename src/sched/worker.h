@@ -9,8 +9,9 @@
 // on which process sealed them), and exits 0 once every fleet shard in the
 // plan verifies clean. The coordinator spawns its workers with exactly this
 // loop, and any number of externally launched ones may join, with or
-// without a coordinator: a node is "done" iff its sealed shard verifies,
-// so duplicate execution only wastes cycles.
+// without a coordinator: a node is "done" iff the shard its key names
+// verifies (store::find_sealed_shard), so duplicate execution only wastes
+// cycles. Workers never write the manifest; the coordinator records.
 //
 // A worker never renews its lease, so a fleet that runs longer than the
 // TTL may be stolen and run twice: wasted cycles, never different bytes.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -60,6 +61,10 @@ struct Odd {
 
     /// Highway ODD: 120 km/h, low VRU density, no snow/fog.
     [[nodiscard]] static Odd highway();
+
+    /// The preset called `name` ("urban", "highway"), or nullopt; callers
+    /// word their own error.
+    [[nodiscard]] static std::optional<Odd> by_name(std::string_view name);
 };
 
 }  // namespace qrn::sim

@@ -36,23 +36,6 @@ void declare_metrics() {
     obs::declare_timer("store.shard_read_ns");
 }
 
-/// A sealed shard qualifies for reuse only when a full integrity scan
-/// passes AND its header/footer identify it as exactly this fleet of
-/// exactly this run. Any defect means "simulate instead".
-bool reusable(const Store& store, const ShardEntry& entry, std::uint64_t key,
-              std::uint64_t fleet_index, bool& was_corrupt) {
-    try {
-        const ShardInfo info = verify_shard(store.shard_path(entry));
-        return info.cache_key == key && info.fleet_index == fleet_index &&
-               info.records == entry.records;
-    } catch (const StoreError& error) {
-        // A missing file (Io) is a plain cache miss; anything else is a
-        // shard that exists but cannot be trusted.
-        was_corrupt = error.is_corruption();
-        return false;
-    }
-}
-
 }  // namespace
 
 ShardEntry simulate_fleet_shard(const sim::CampaignConfig& config,
@@ -88,6 +71,10 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
     }
     declare_metrics();
 
+    // A fresh store gets its (empty) index before any fleet runs, so a run
+    // killed part-way can still be resumed with --resume.
+    if (!store.manifest_found()) store.record(std::span<const ShardEntry>());
+
     std::atomic<std::size_t> simulated{0};
     std::atomic<std::size_t> reused{0};
     std::atomic<std::size_t> invalid{0};
@@ -98,41 +85,35 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
         config.jobs, config.fleets, [&](std::size_t i) {
             const std::uint64_t key = fleet_cache_key(
                 config.base, config.hours_per_fleet, i, inputs_digest);
-
-            if (const ShardEntry* existing = store.find(i);
-                existing != nullptr && existing->cache_key == key) {
-                bool was_corrupt = false;
-                ShardEntry entry = *existing;
-                if (reusable(store, entry, key, i, was_corrupt)) {
-                    reused.fetch_add(1, std::memory_order_relaxed);
-                    if (obs::enabled()) {
-                        obs::add_counter("store.cache_hits", 1);
-                        obs::add_counter("store.shards_reused", 1);
-                    }
-                    return entry;
+            SealedShard sealed = find_sealed_shard(store.dir(), i, key);
+            if (sealed.entry) {
+                reused.fetch_add(1, std::memory_order_relaxed);
+                if (obs::enabled()) {
+                    obs::add_counter("store.cache_hits", 1);
+                    obs::add_counter("store.shards_reused", 1);
                 }
-                if (was_corrupt) {
+            } else {
+                if (sealed.corrupt) {
                     invalid.fetch_add(1, std::memory_order_relaxed);
                     if (obs::enabled()) obs::add_counter("store.shards_invalid", 1);
                 }
+                if (obs::enabled()) obs::add_counter("store.cache_misses", 1);
+                simulated.fetch_add(1, std::memory_order_relaxed);
+                sealed.entry =
+                    simulate_fleet_shard(config, store.dir(), i, inputs_digest);
             }
 
-            if (obs::enabled()) obs::add_counter("store.cache_misses", 1);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            const ShardEntry entry =
-                simulate_fleet_shard(config, store.dir(), i, inputs_digest);
-
-            // A previous run may have left this fleet under a different
-            // key (different config); the new manifest row supersedes it,
-            // and the stale file is removed best-effort.
+            // A previous run may have recorded this fleet under a different
+            // key (different config); this run's row supersedes it, and the
+            // stale file is removed best-effort.
             if (const ShardEntry* stale = store.find(i);
-                stale != nullptr && stale->file != entry.file) {
+                stale != nullptr && stale->file != sealed.entry->file) {
                 std::error_code ec;
                 std::filesystem::remove(store.shard_path(*stale), ec);
             }
-            store.record(entry);
-            return entry;
+            return *sealed.entry;
         });
+    store.record(out.entries);
 
     out.fleets_simulated = simulated.load();
     out.fleets_reused = reused.load();

@@ -2,11 +2,12 @@
 //
 // Every fleet of a campaign is a pure function of its cache key, so a
 // campaign run against a store becomes: for each fleet, either reuse the
-// sealed shard whose key matches, or simulate the fleet and seal a new
-// shard. A killed run leaves sealed shards for the fleets it finished (the
-// manifest is rewritten after every seal); rerunning the same command
-// resumes exactly there and produces byte-identical shards - and therefore
-// byte-identical downstream statistics - to an uninterrupted run.
+// sealed shard named by its key, or simulate the fleet and seal a new
+// shard. Reuse looks at the shard files (find_sealed_shard), never at the
+// manifest, so a killed run resumes from the shards it sealed - with or
+// without a manifest - and produces byte-identical shards, and therefore
+// byte-identical downstream statistics, to an uninterrupted run. The run
+// records its rows into the manifest once, after every fleet is settled.
 //
 // A shard is only ever reused after a full integrity re-scan: a corrupted,
 // truncated or key-mismatched shard is counted, reported through qrn_obs
@@ -38,8 +39,10 @@ struct StoreCampaignStats {
 /// Runs the campaign against the store. Fleet i's key is
 /// fleet_cache_key(config.base, config.hours_per_fleet, i, inputs_digest);
 /// fleets run (or verify) in parallel per config.jobs, and the outcome is
-/// independent of jobs and of interruption history. Throws StoreError(Io)
-/// when shards cannot be written and std::invalid_argument on a config the
+/// independent of jobs and of interruption history. A store without a
+/// manifest gets an empty one first; all rows are recorded in one
+/// Store::record call at the end. Throws StoreError(Io) when shards or the
+/// manifest cannot be written and std::invalid_argument on a config the
 /// plain run_campaign would also reject.
 [[nodiscard]] StoreCampaignStats run_campaign_with_store(
     const sim::CampaignConfig& config, Store& store, std::string_view inputs_digest);

@@ -8,6 +8,7 @@
 #include "qrn/json.h"
 #include "store/cache_key.h"
 #include "store/format.h"
+#include "store/shard.h"
 
 namespace qrn::store {
 
@@ -17,14 +18,15 @@ constexpr int kManifestSchemaVersion = 1;
 constexpr std::string_view kManifestKind = "qrn.store";
 constexpr std::string_view kManifestName = "manifest.json";
 
-/// Fleet indices and record counts live in JSON numbers (doubles); both
-/// are bounded far below 2^53 in practice, so the round trip is exact.
+/// Fleet indices and record counts live in JSON numbers (doubles), which
+/// hold every integer up to 2^53 exactly; anything else is not a count.
 std::uint64_t entry_u64(const json::Value& value, const std::string& what) {
-    if (!value.is_number() || value.as_number() < 0) {
+    const std::optional<std::uint64_t> number = value.as_exact_u64();
+    if (!number) {
         throw StoreError(StoreErrorKind::Inconsistent,
-                         "manifest field '" + what + "' is not a non-negative number");
+                         "manifest field '" + what + "' is not an integer in [0, 2^53]");
     }
-    return static_cast<std::uint64_t>(value.as_number());
+    return *number;
 }
 
 /// One shard row as `json::Value(doc).dump(2)` prints it inside the
@@ -133,7 +135,7 @@ void Store::load_manifest() {
 void Store::write_manifest_locked() {
     // The bytes json::Value(doc).dump(2) + "\n" prints for the document
     // {kind, schema_version, shards: [rows...]}, spliced from the cached
-    // row texts. Only record() writes, so there is always at least one row.
+    // row texts; the writer prints an empty array as "[]".
     std::string text = "{\n  \"kind\": \"" + std::string(kManifestKind) +
                        "\",\n  \"schema_version\": " +
                        std::to_string(kManifestSchemaVersion) + ",\n  \"shards\": [";
@@ -144,7 +146,7 @@ void Store::write_manifest_locked() {
         text += row.text;
         sep = ",\n    ";
     }
-    text += "\n  ]\n}\n";
+    text += rows_.empty() ? "]\n}\n" : "\n  ]\n}\n";
 
     const std::string path = manifest_path();
     const std::string tmp = path + std::string(kTempSuffix);
@@ -193,10 +195,37 @@ std::string Store::shard_filename(std::uint64_t fleet_index, std::uint64_t cache
     return "fleet-" + digits + "-" + key_hex(cache_key) + std::string(kShardExtension);
 }
 
-void Store::record(const ShardEntry& entry) {
+void Store::record(std::span<const ShardEntry> entries) {
     const std::scoped_lock lock(mutex_);
-    rows_[entry.fleet_index] = Row{entry, render_row(entry)};
+    bool changed = !manifest_found_;
+    for (const ShardEntry& entry : entries) {
+        const auto [it, inserted] = rows_.try_emplace(entry.fleet_index);
+        if (!inserted && it->second.entry == entry) continue;
+        it->second = Row{entry, render_row(entry)};
+        changed = true;
+    }
+    if (!changed) return;
     write_manifest_locked();
+    manifest_found_ = true;
+}
+
+SealedShard find_sealed_shard(const std::string& dir, std::uint64_t fleet_index,
+                              std::uint64_t cache_key) {
+    SealedShard out;
+    const std::string file = Store::shard_filename(fleet_index, cache_key);
+    try {
+        const ShardInfo info = verify_shard(dir + "/" + file);
+        if (info.cache_key != cache_key || info.fleet_index != fleet_index) {
+            out.corrupt = true;
+            return out;
+        }
+        out.entry = ShardEntry{fleet_index, file, cache_key, info.records,
+                               info.totals.exposure_hours};
+    } catch (const StoreError& error) {
+        // Io is a missing or unreadable file: absence, not corruption.
+        out.corrupt = error.is_corruption();
+    }
+    return out;
 }
 
 std::vector<std::string> Store::stray_temp_files() const {

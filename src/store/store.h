@@ -1,18 +1,22 @@
 // The store: a directory of sealed shards plus a JSON manifest.
 //
-// `DIR/manifest.json` indexes every sealed shard by fleet index and
-// content key. The manifest is a cache index, not an authority: before a
-// shard is ever reused its header key is re-checked and its blocks are
-// re-checksummed, so a stale or hand-edited manifest can cause a cache
-// miss (re-simulation) but never a wrong result. The manifest itself is
-// rewritten atomically (temp + rename) after every recorded shard, which
-// makes any prefix of a campaign a valid resume point.
+// A sealed shard is found by its content-addressed name alone:
+// `fleet-<index>-<key>.qrs` (Store::shard_filename), checked by
+// find_sealed_shard. `DIR/manifest.json` is an index of what the last
+// finished run recorded, not an authority: nothing is reused because the
+// manifest lists it, so a stale, hand-edited or deleted manifest costs at
+// most a rewrite, never a wrong result or a re-simulation. A run records
+// all of its rows at once, and the file is rewritten atomically (temp +
+// rename) only when some row changed; an interrupted run leaves its
+// sealed shards behind, and they are what the next run resumes from.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,13 +29,29 @@ struct ShardEntry {
     std::uint64_t cache_key = 0;
     std::uint64_t records = 0;      ///< Incident records (from the footer).
     double exposure_hours = 0.0;    ///< Exposure (informational; footer rules).
+
+    friend bool operator==(const ShardEntry&, const ShardEntry&) = default;
 };
 
-/// A shard store rooted at one directory. Thread-safe: campaign workers
-/// record shards concurrently; each record() rewrites the manifest under a
-/// lock so the on-disk index is always a consistent snapshot. Each row's
-/// JSON text is rendered once and cached, so a rewrite splices cached rows
-/// instead of re-serializing every entry.
+/// What a store directory holds for one fleet under one content key.
+struct SealedShard {
+    std::optional<ShardEntry> entry;  ///< Set iff the shard is sealed.
+    bool corrupt = false;  ///< A file has the shard's name but fails
+                           ///< verification or names another fleet or key.
+};
+
+/// The one "is fleet `fleet_index` sealed under `cache_key`?" check: a
+/// full integrity scan of `dir`/Store::shard_filename(fleet_index,
+/// cache_key), whose header key and fleet index must match. The entry is
+/// built from the footer. A missing file is a plain miss, not corruption.
+[[nodiscard]] SealedShard find_sealed_shard(const std::string& dir,
+                                            std::uint64_t fleet_index,
+                                            std::uint64_t cache_key);
+
+/// A shard store rooted at one directory. Thread-safe: record() rewrites
+/// the manifest under a lock, so the on-disk index is always a consistent
+/// snapshot. Each row's JSON text is rendered once and cached, so a
+/// rewrite splices cached rows instead of re-serializing every entry.
 class Store {
 public:
     /// Opens (creating if needed) the store directory and loads the
@@ -43,11 +63,11 @@ public:
     [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
     [[nodiscard]] std::string manifest_path() const;
 
-    /// True when construction found an existing manifest (i.e. this
-    /// directory has been used as a store before). --resume requires it.
+    /// True when the directory has a manifest: construction found one or
+    /// record() wrote one. --resume requires it.
     [[nodiscard]] bool manifest_found() const noexcept { return manifest_found_; }
 
-    /// The entry for a fleet, or nullptr when the store has none.
+    /// The manifest row for a fleet, or nullptr when the store has none.
     [[nodiscard]] const ShardEntry* find(std::uint64_t fleet_index) const;
 
     /// All entries, sorted by fleet index.
@@ -60,10 +80,14 @@ public:
     [[nodiscard]] static std::string shard_filename(std::uint64_t fleet_index,
                                                     std::uint64_t cache_key);
 
-    /// Upserts an entry and atomically rewrites the manifest. Safe to call
-    /// from parallel campaign workers. Throws StoreError(Io) when the
-    /// manifest cannot be written.
-    void record(const ShardEntry& entry);
+    /// Upserts `entries` (a whole run's rows) and atomically rewrites the
+    /// manifest, but only when some row differs from what the store holds
+    /// or no manifest exists yet: recording unchanged rows writes nothing,
+    /// and recording none writes an empty index into a fresh store. Throws
+    /// StoreError(Io) when the manifest cannot be written.
+    void record(std::span<const ShardEntry> entries);
+    /// One row (the serve daemon records each shard as it seals it).
+    void record(const ShardEntry& entry) { record(std::span(&entry, 1)); }
 
     /// Leftover `*.tmp` files from interrupted writes (sorted). These are
     /// never trusted as shards; inspect reports them so operators know a
@@ -84,7 +108,7 @@ private:
     std::string dir_;
     mutable std::mutex mutex_;
     std::map<std::uint64_t, Row> rows_;
-    bool manifest_found_ = false;
+    std::atomic<bool> manifest_found_{false};  ///< Set by record() under mutex_.
 };
 
 }  // namespace qrn::store

@@ -294,16 +294,13 @@ unsigned parse_jobs(const Args& args) {
 }
 
 sim::TacticalPolicy policy_by_name(const std::string& name) {
-    if (name == "cautious") return sim::TacticalPolicy::cautious();
-    if (name == "nominal") return sim::TacticalPolicy::nominal();
-    if (name == "performance") return sim::TacticalPolicy::performance();
+    if (auto policy = sim::TacticalPolicy::by_name(name)) return *policy;
     throw ParseError("--policy", name,
                      "one of 'cautious', 'nominal', 'performance'");
 }
 
 sim::Odd odd_by_name(const std::string& name) {
-    if (name == "urban") return sim::Odd::urban();
-    if (name == "highway") return sim::Odd::highway();
+    if (auto odd = sim::Odd::by_name(name)) return *odd;
     throw ParseError("--odd", name, "one of 'urban', 'highway'");
 }
 
@@ -459,7 +456,7 @@ int cmd_campaign_store(const sim::CampaignConfig& config, const std::string& dir
     const auto types = IncidentTypeSet::paper_vru_example();
     // The incident-type catalog is part of the cache key: evidence computed
     // against different types must never reuse each other's shards.
-    const std::string inputs_digest = to_json(types).dump();
+    const std::string inputs_digest = sched::campaign_inputs_digest();
     store::StoreCampaignStats run;
     {
         const obs::ScopedSpan span("fleet_sim");

@@ -1,28 +1,26 @@
-// Work-DAG invariants: deterministic topology, critical-path levels,
-// dispatch order, cycle rejection, and the hard/soft budget gate. The
-// coordinator's dispatch decisions are a pure function of these, so they
-// are pinned as unit properties instead of observed through process soup.
+// Work-DAG invariants: deterministic topology, id lookup, cycle rejection,
+// and the hard/soft budget gate every distributed campaign passes before a
+// worker starts, pinned as unit properties.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sched/dag.h"
-#include "sched/ready_queue.h"
 
 namespace {
 
 using namespace qrn::sched;
 
-/// The campaign spine with two fleet nodes of unequal weight:
+/// The campaign spine with two fleet nodes:
 /// generate -> {heavy, light} -> aggregate -> verify.
-Dag diamond(double heavy_weight, double light_weight) {
+Dag diamond() {
     Dag dag;
-    const auto generate = dag.add_node("generate", 1.0);
-    const auto heavy = dag.add_node("fleet-00000", heavy_weight);
-    const auto light = dag.add_node("fleet-00001", light_weight);
-    const auto aggregate = dag.add_node("aggregate", 1.0);
-    const auto verify = dag.add_node("verify", 1.0);
+    const auto generate = dag.add_node("generate");
+    const auto heavy = dag.add_node("fleet-00000");
+    const auto light = dag.add_node("fleet-00001");
+    const auto aggregate = dag.add_node("aggregate");
+    const auto verify = dag.add_node("verify");
     dag.add_edge(generate, heavy);
     dag.add_edge(generate, light);
     dag.add_edge(heavy, aggregate);
@@ -33,7 +31,7 @@ Dag diamond(double heavy_weight, double light_weight) {
 }
 
 TEST(Dag, TopoOrderIsDeterministicAndRespectsEdges) {
-    const Dag dag = diamond(10.0, 2.0);
+    const Dag dag = diamond();
     const auto& topo = dag.topo_order();
     ASSERT_EQ(topo.size(), 5u);
     std::vector<std::size_t> position(topo.size());
@@ -44,43 +42,20 @@ TEST(Dag, TopoOrderIsDeterministicAndRespectsEdges) {
                 << dag.node(i).id << " must precede " << dag.node(succ).id;
         }
     }
-    // Kahn with smallest-index-first: the order is a pure function of the
-    // graph, so two identical builds agree exactly.
-    const Dag again = diamond(10.0, 2.0);
+    // Kahn with the sources in index order and a FIFO ready list: the
+    // order is a pure function of the graph, so two identical builds agree
+    // exactly.
+    const Dag again = diamond();
     EXPECT_EQ(topo, again.topo_order());
 }
 
-TEST(Dag, CriticalPathLevelsAreWeightPlusHeaviestChain) {
-    const Dag dag = diamond(10.0, 2.0);
-    const auto at = [&](const char* id) { return *dag.index_of(id); };
-    EXPECT_DOUBLE_EQ(dag.level(at("verify")), 1.0);
-    EXPECT_DOUBLE_EQ(dag.level(at("aggregate")), 2.0);
-    EXPECT_DOUBLE_EQ(dag.level(at("fleet-00001")), 4.0);
-    EXPECT_DOUBLE_EQ(dag.level(at("fleet-00000")), 12.0);
-    EXPECT_DOUBLE_EQ(dag.level(at("generate")), 13.0);
-}
-
-TEST(Dag, ReadyQueuePopsCriticalPathFirstThenById) {
-    const Dag dag = diamond(10.0, 2.0);
-    ReadyQueue ready;
-    for (const char* id : {"fleet-00001", "fleet-00000"}) {
-        const auto i = *dag.index_of(id);
-        ready.push(ReadyItem{i, dag.level(i), dag.node(i).id});
+TEST(Dag, IndexOfFindsEveryNodeById) {
+    const Dag dag = diamond();
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+        EXPECT_EQ(dag.index_of(dag.node(i).id), i);
     }
-    EXPECT_EQ(ready.pop().id, "fleet-00000");  // heavier chain first
-    EXPECT_EQ(ready.pop().id, "fleet-00001");
-    EXPECT_TRUE(ready.empty());
-    EXPECT_THROW(ready.pop(), SchedError);
-
-    // Equal priorities break by id, so dispatch order never depends on
-    // push order or heap internals.
-    ReadyQueue ties;
-    ties.push(ReadyItem{0, 5.0, "fleet-00002"});
-    ties.push(ReadyItem{1, 5.0, "fleet-00001"});
-    ties.push(ReadyItem{2, 5.0, "fleet-00003"});
-    EXPECT_EQ(ties.pop().id, "fleet-00001");
-    EXPECT_EQ(ties.pop().id, "fleet-00002");
-    EXPECT_EQ(ties.pop().id, "fleet-00003");
+    EXPECT_FALSE(dag.index_of("fleet-00002").has_value());
+    EXPECT_FALSE(dag.index_of("").has_value());
 }
 
 TEST(Dag, RejectsCyclesNamingAStableNode) {
@@ -105,10 +80,9 @@ TEST(Dag, RejectsMalformedConstruction) {
     EXPECT_THROW(dag.add_node(""), SchedError);
     const auto a = dag.add_node("a");
     EXPECT_THROW(dag.add_node("a"), SchedError);       // duplicate id
-    EXPECT_THROW(dag.add_node("b", -1.0), SchedError); // negative weight
     EXPECT_THROW(dag.add_edge(a, a), SchedError);      // self-edge
     EXPECT_THROW(dag.add_edge(a, 99), SchedError);     // out of range
-    EXPECT_THROW(dag.level(a), SchedError);            // query before build
+    EXPECT_THROW(dag.topo_order(), SchedError);        // query before build
 }
 
 TEST(Dag, DuplicateEdgesStoreOnce) {
@@ -121,17 +95,13 @@ TEST(Dag, DuplicateEdgesStoreOnce) {
 }
 
 TEST(DagBudget, HardLimitFailsSoftLimitWarns) {
-    const Dag dag = diamond(10.0, 2.0);
+    const Dag dag = diamond();
     const DagMetrics metrics = compute_metrics(dag);
     EXPECT_EQ(metrics.node_count, 5u);
     EXPECT_EQ(metrics.edge_count, 5u);
     EXPECT_EQ(metrics.max_depth, 4u);  // generate -> fleet -> agg -> verify
     EXPECT_EQ(metrics.fanout_peak, 2u);
     EXPECT_EQ(metrics.fanin_peak, 2u);
-    EXPECT_DOUBLE_EQ(metrics.critical_path_weight, 13.0);
-    const std::vector<std::string> want{"generate", "fleet-00000", "aggregate",
-                                        "verify"};
-    EXPECT_EQ(metrics.critical_path, want);
 
     DagBudget hard;
     hard.node_count_hard = 3;

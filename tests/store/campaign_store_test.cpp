@@ -232,6 +232,76 @@ TEST(CampaignStore, WarmCacheMeansZeroResimulation) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(CampaignStore, LostManifestStillReusesEveryShard) {
+    const auto config = small_campaign();
+    const std::string dir = fresh_dir("lost_manifest");
+    std::string manifest;
+    {
+        Store store(dir);
+        (void)run_campaign_with_store(config, store, kDigest);
+        manifest = slurp(store.manifest_path());
+        std::filesystem::remove(store.manifest_path());
+    }
+    // Sealed shards are found by their content-addressed names, so the
+    // index is only rebuilt, never needed.
+    Store store(dir);
+    EXPECT_FALSE(store.manifest_found());
+    const auto rerun = run_campaign_with_store(config, store, kDigest);
+    EXPECT_EQ(rerun.fleets_reused, 4u);
+    EXPECT_EQ(rerun.fleets_simulated, 0u);
+    EXPECT_EQ(rerun.shards_invalid, 0u);
+    EXPECT_EQ(slurp(store.manifest_path()), manifest);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignStore, SealedButUnrecordedShardIsReused) {
+    // A worker (or a run killed before its one manifest write) sealed
+    // fleet 2 without recording it anywhere.
+    const auto config = small_campaign();
+    const std::string dir = fresh_dir("unrecorded");
+    Store store(dir);
+    const ShardEntry sealed = simulate_fleet_shard(config, dir, 2, kDigest);
+    const std::string bytes = slurp(store.shard_path(sealed));
+    EXPECT_EQ(store.find(2), nullptr);
+
+    const auto run = run_campaign_with_store(config, store, kDigest);
+    EXPECT_EQ(run.fleets_reused, 1u);
+    EXPECT_EQ(run.fleets_simulated, 3u);
+    ASSERT_EQ(run.entries.size(), 4u);
+    EXPECT_EQ(run.entries[2], sealed);
+    ASSERT_NE(store.find(2), nullptr);
+    EXPECT_EQ(*store.find(2), sealed);
+    EXPECT_EQ(slurp(store.shard_path(sealed)), bytes);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignStore, InterruptedFirstRunLeavesAResumableStore) {
+    const auto config = small_campaign();
+    const std::string dir = fresh_dir("interrupted");
+    // Fleet 0's shard cannot be written: a directory squats on its temp
+    // file name, so the first run dies before sealing anything.
+    const std::string blocker =
+        dir + "/" +
+        Store::shard_filename(
+            0, fleet_cache_key(config.base, config.hours_per_fleet, 0, kDigest)) +
+        std::string(kTempSuffix);
+    std::filesystem::create_directories(blocker + "/keep");
+    {
+        Store store(dir);
+        EXPECT_THROW((void)run_campaign_with_store(config, store, kDigest),
+                     StoreError);
+    }
+    // The run wrote its index first, so --resume accepts the store.
+    EXPECT_TRUE(Store(dir).manifest_found());
+
+    std::filesystem::remove_all(blocker);
+    Store store(dir);
+    const auto resumed = run_campaign_with_store(config, store, kDigest);
+    EXPECT_EQ(resumed.fleets_reused + resumed.fleets_simulated, 4u);
+    EXPECT_EQ(store.entries().size(), 4u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CampaignStore, RejectsConfigsThePlainCampaignRejects) {
     const std::string dir = fresh_dir("validate");
     Store store(dir);

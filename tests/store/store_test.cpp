@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +148,88 @@ TEST(Store, ManifestBytesEqualAFullJsonDumpAfterEveryRecord) {
     expect_identical(reopened, "first record after reopening");
     reopened.record(entry_for(5, 0x5556));
     expect_identical(reopened, "overwrite after reopening");
+    // A whole run's rows in one call: two new rows and one changed row.
+    const std::vector<ShardEntry> run = {entry_for(7, 0x7777), entry_for(2, 0x2222),
+                                         entry_for(0, 0x1)};
+    reopened.record(run);
+    expect_identical(reopened, "multi-row record");
+    ASSERT_EQ(reopened.entries().size(), 6u);
+    reopened.record(run);
+    reopened.record(std::span<const ShardEntry>());
+    expect_identical(reopened, "unchanged multi-row record");
+}
+
+TEST(Store, EmptyIndexBytesEqualTheJsonWriters) {
+    const std::string dir = fresh_dir("empty_index");
+    Store store(dir);
+    store.record(std::span<const ShardEntry>());
+    EXPECT_TRUE(store.manifest_found());
+    EXPECT_EQ(read_text(store.manifest_path()), expected_manifest({}));
+    EXPECT_NE(read_text(store.manifest_path()).find("\"shards\": []"),
+              std::string::npos);
+    const Store reopened(dir);
+    EXPECT_TRUE(reopened.manifest_found());
+    EXPECT_TRUE(reopened.entries().empty());
+}
+
+TEST(Store, RecordingUnchangedRowsLeavesTheManifestAlone) {
+    const std::string dir = fresh_dir("unchanged");
+    const std::vector<ShardEntry> rows = {entry_for(0, 0x10), entry_for(1, 0x11)};
+    // Every manifest write renames a fresh temp file into place. A hard
+    // link pins the current file's inode (so it cannot be reused), and the
+    // manifest is still that file exactly when nothing was written.
+    const std::string pin = dir + "/pinned-manifest";
+    const auto pin_manifest = [&](const Store& store) {
+        std::filesystem::remove(pin);
+        std::filesystem::create_hard_link(store.manifest_path(), pin);
+    };
+    const auto unchanged = [&](const Store& store) {
+        return std::filesystem::equivalent(store.manifest_path(), pin);
+    };
+    {
+        Store store(dir);
+        for (const auto& row : rows) store.record(row);
+        pin_manifest(store);
+        for (const auto& row : rows) store.record(row);
+        EXPECT_TRUE(unchanged(store));
+    }
+    Store reopened(dir);
+    for (const auto& row : rows) reopened.record(row);
+    EXPECT_TRUE(unchanged(reopened));
+    // One changed row rewrites the index.
+    reopened.record(entry_for(1, 0x12));
+    EXPECT_FALSE(unchanged(reopened));
+    EXPECT_EQ(read_text(reopened.manifest_path()),
+              expected_manifest({rows[0], entry_for(1, 0x12)}));
+}
+
+TEST(Store, ManifestCountsMustBeExactIntegers) {
+    const std::string dir = fresh_dir("exact_counts");
+    std::filesystem::create_directories(dir);
+    const auto manifest = [](const std::string& fleet_index, const std::string& records) {
+        return "{\"kind\": \"qrn.store\", \"schema_version\": 1, \"shards\": "
+               "[{\"fleet_index\": " + fleet_index +
+               ", \"file\": \"f.qrs\", \"key\": \"0000000000000001\", "
+               "\"records\": " + records + ", \"exposure_hours\": 1.0}]}";
+    };
+    write_text(dir + "/manifest.json", manifest("9007199254740992", "0"));
+    EXPECT_NE(Store(dir).find(9007199254740992ULL), nullptr);  // 2^53 is exact
+    for (const auto& [fleet_index, records] :
+         std::vector<std::pair<std::string, std::string>>{{"1.5", "0"},
+                                                          {"-1", "0"},
+                                                          {"1e30", "0"},
+                                                          {"9007199254740994", "0"},
+                                                          {"0", "0.5"}}) {
+        write_text(dir + "/manifest.json", manifest(fleet_index, records));
+        try {
+            const Store store(dir);
+            ADD_FAILURE() << "accepted fleet_index " << fleet_index << ", records "
+                          << records;
+        } catch (const StoreError& error) {
+            EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent)
+                << fleet_index << " " << records;
+        }
+    }
 }
 
 TEST(Store, ShardFilenameIsFixedWidth) {
