@@ -8,6 +8,8 @@
 //
 // Expected shape: both emergency-braking frequency and incident rate fall
 // monotonically (modulo Monte-Carlo noise) as proactivity increases.
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 
 #include "report/csv.h"
@@ -33,10 +35,10 @@ int main() {
         config.policy.anticipation_horizon_s = horizon;
         config.seed = 555;
         const auto log = sim::FleetSimulator(config).run(hours);
-        std::size_t collisions = 0;
-        for (const auto& incident : log.incidents) {
-            collisions += incident.mechanism == IncidentMechanism::Collision;
-        }
+        const auto& mechanisms = log.incidents.mechanisms();
+        const auto collisions = std::count(
+            mechanisms.begin(), mechanisms.end(),
+            static_cast<std::uint8_t>(IncidentMechanism::Collision));
         const double emergency = static_cast<double>(log.emergency_brakings) / hours;
         horizon_table.add_row({fixed(horizon, 1), fixed(emergency, 3),
                                fixed(static_cast<double>(log.incidents.size()) / hours, 4),

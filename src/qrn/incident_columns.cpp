@@ -70,20 +70,6 @@ void IncidentColumns::append(const IncidentColumns& other) {
                             other.timestamp_hours_.end());
 }
 
-IncidentColumns IncidentColumns::from_vector(const std::vector<Incident>& rows) {
-    IncidentColumns columns;
-    columns.reserve(rows.size());
-    for (const Incident& incident : rows) columns.push_back(incident);
-    return columns;
-}
-
-std::vector<Incident> IncidentColumns::to_vector() const {
-    std::vector<Incident> rows;
-    rows.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) rows.push_back((*this)[i]);
-    return rows;
-}
-
 std::vector<std::uint64_t> count_matching_all(const IncidentColumns& columns,
                                               const IncidentTypeSet& types) {
     const std::size_t type_count = types.size();

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include "qrn/incident.h"
@@ -64,40 +63,6 @@ public:
     [[nodiscard]] const std::vector<double>& relative_speeds_kmh() const noexcept { return relative_speed_kmh_; }
     [[nodiscard]] const std::vector<double>& min_distances_m() const noexcept { return min_distance_m_; }
     [[nodiscard]] const std::vector<double>& timestamps_hours() const noexcept { return timestamp_hours_; }
-
-    // ---- row-compatible iteration ---------------------------------------
-    //
-    // Materializing proxy iterator: `*it` yields an Incident by value, so
-    // range-for and <algorithm> code written against std::vector<Incident>
-    // keeps working. Bulk consumers should prefer the column views.
-    class const_iterator {
-    public:
-        using iterator_category = std::input_iterator_tag;
-        using value_type = Incident;
-        using difference_type = std::ptrdiff_t;
-        using pointer = void;
-        using reference = Incident;
-
-        const_iterator() = default;
-        const_iterator(const IncidentColumns* columns, std::size_t index)
-            : columns_(columns), index_(index) {}
-
-        [[nodiscard]] Incident operator*() const { return (*columns_)[index_]; }
-        const_iterator& operator++() { ++index_; return *this; }
-        const_iterator operator++(int) { auto old = *this; ++index_; return old; }
-        friend bool operator==(const const_iterator&, const const_iterator&) = default;
-
-    private:
-        const IncidentColumns* columns_ = nullptr;
-        std::size_t index_ = 0;
-    };
-
-    [[nodiscard]] const_iterator begin() const noexcept { return {this, 0}; }
-    [[nodiscard]] const_iterator end() const noexcept { return {this, size()}; }
-
-    // ---- AoS <-> SoA conversion -----------------------------------------
-    [[nodiscard]] static IncidentColumns from_vector(const std::vector<Incident>& rows);
-    [[nodiscard]] std::vector<Incident> to_vector() const;
 
 private:
     std::vector<std::uint8_t> firsts_;

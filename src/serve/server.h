@@ -17,8 +17,9 @@
 //
 // Drain (SIGTERM): stop accepting, let readers finish their in-flight
 // request, close every connection, flush the queue through the
-// dispatcher, then seal the partial shard. After drain() returns the
-// store is complete and a restarted daemon resumes exactly there.
+// dispatcher, then seal the partial shard and write the store index.
+// After drain() returns the store is complete and a restarted daemon
+// resumes exactly there.
 #pragma once
 
 #include <atomic>

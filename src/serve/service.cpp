@@ -9,7 +9,7 @@
 #include "qrn/injury_risk.h"
 #include "qrn/serialize.h"
 #include "qrn/verification.h"
-#include "store/aggregate.h"
+#include "qrn/incident_columns.h"
 #include "store/cache_key.h"
 #include "store/format.h"
 
@@ -22,6 +22,15 @@ namespace {
 /// pure function of (catalog, sequence) so a replayed stream reproduces
 /// identical names.
 constexpr std::string_view kServeKeySalt = "qrn.serve.shard.v1";
+
+/// The key stream every shard key of a catalog starts with: the salt and
+/// the catalog digest. Hashed once, so a key costs one mix of its sequence.
+store::KeyHasher serve_key_prefix(const IncidentTypeSet& types) {
+    store::KeyHasher hasher;
+    hasher.mix_string(kServeKeySalt);
+    hasher.mix_string(to_json(types).dump());
+    return hasher;
+}
 
 /// Declares every serve metric once so --metrics manifests have the same
 /// structure whether or not a counter ever fired.
@@ -44,7 +53,7 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
       types_(std::move(types)),
       config_(std::move(config)),
       tree_(ClassificationTree::paper_example()),
-      types_digest_(to_json(types_).dump()),
+      key_prefix_(serve_key_prefix(types_)),
       store_(config_.store_dir) {
     if (config_.shard_roll == 0) {
         throw ServeError("shard_roll must be >= 1");
@@ -64,57 +73,78 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
     }
     sealed_type_events_.assign(types_.size(), 0);
 
+    std::error_code ec;
+    std::filesystem::create_directories(store_.dir(), ec);
+    if (ec) {
+        throw store::StoreError(store::StoreErrorKind::Io,
+                                "cannot create store directory '" + store_.dir() +
+                                    "': " + ec.message());
+    }
     // Heal: an interrupted writer leaves a `.tmp` no reader ever trusts.
     for (const auto& name : store_.stray_temp_files()) {
         std::filesystem::remove(store_.dir() + "/" + name);
     }
-    // Rebuild the sealed-prefix fold by re-scanning every sealed shard in
-    // fleet order; the scan re-checksums all blocks, so corruption fails
-    // startup loudly instead of poisoning the evidence.
-    const auto entries = store_.entries();
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].fleet_index != i) {
-            throw store::StoreError(
-                store::StoreErrorKind::Inconsistent,
-                store_.dir() + ": serve store must hold a contiguous shard "
-                               "sequence; missing sequence " +
-                    std::to_string(i));
-        }
-        fold_sealed_shard(store_.shard_path(entries[i]));
+    // Rebuild the sealed-prefix fold from the shards themselves, found by
+    // name in sequence order up to the first missing file. A file that is
+    // there but unreadable or corrupt is not the end of the sequence: its
+    // scan throws and fails startup loudly.
+    while (std::filesystem::status(shard_path(sealed_.size()), ec).type() !=
+           std::filesystem::file_type::not_found) {
+        fold_sealed_shard();
     }
-    next_sequence_ = entries.size();
 }
 
 Service::~Service() = default;
 
 std::uint64_t Service::cache_key_for(std::uint64_t sequence) const {
-    store::KeyHasher hasher;
-    hasher.mix_string(kServeKeySalt);
-    hasher.mix_string(types_digest_);
+    store::KeyHasher hasher = key_prefix_;
     hasher.mix_u64(sequence);
     return hasher.digest();
 }
 
-void Service::open_shard_if_needed() {
-    if (writer_) return;
-    const std::uint64_t key = cache_key_for(next_sequence_);
-    const std::string filename = store::Store::shard_filename(next_sequence_, key);
-    writer_ = std::make_unique<store::ShardWriter>(store_.dir() + "/" + filename,
-                                                   key, next_sequence_);
+std::string Service::shard_path(std::uint64_t sequence) const {
+    return store_.dir() + "/" +
+           store::Store::shard_filename(sequence, cache_key_for(sequence));
 }
 
-void Service::fold_sealed_shard(const std::string& path) {
-    // One-shard aggregate through the same code the batch CLI uses;
-    // folding its terms in seal order reproduces a full
-    // aggregate_evidence over the sealed prefix bit for bit.
-    const store::StoreAggregate agg = store::aggregate_evidence(
-        {{sealed_shards_, path}}, types_, /*jobs=*/1);
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-        sealed_type_events_[k] += agg.evidence[k].events;
+void Service::open_shard_if_needed() {
+    if (writer_) return;
+    const std::uint64_t sequence = sealed_.size();
+    writer_ = std::make_unique<store::ShardWriter>(shard_path(sequence),
+                                                   cache_key_for(sequence), sequence);
+}
+
+void Service::fold_sealed_shard() {
+    // The one scan of the shard at the next sequence number, on restart and
+    // after a seal alike: the header must name this sequence and key, every
+    // block is checksummed, and the per-type counts are the ones
+    // store::aggregate_evidence takes, so folding them in seal order
+    // reproduces a full aggregate over the sealed prefix bit for bit.
+    const std::uint64_t sequence = sealed_.size();
+    const std::uint64_t key = cache_key_for(sequence);
+    const std::string path = shard_path(sequence);
+    store::ShardReader reader(path);
+    if (reader.cache_key() != key || reader.fleet_index() != sequence) {
+        throw store::StoreError(
+            store::StoreErrorKind::Inconsistent,
+            path + ": header names fleet " + std::to_string(reader.fleet_index()) +
+                " under key " + store::key_hex(reader.cache_key()) +
+                ", not serve sequence " + std::to_string(sequence) + " under key " +
+                store::key_hex(key));
     }
-    sealed_exposure_ += agg.total_exposure;
-    sealed_records_ += agg.total_records;
-    ++sealed_shards_;
+    std::vector<std::uint64_t> type_events(types_.size(), 0);
+    const store::ShardInfo info =
+        reader.for_each_block([&](const IncidentColumns& block) {
+            const std::vector<std::uint64_t> counts = count_matching_all(block, types_);
+            for (std::size_t k = 0; k < types_.size(); ++k) type_events[k] += counts[k];
+        });
+    for (std::size_t k = 0; k < types_.size(); ++k) {
+        sealed_type_events_[k] += type_events[k];
+    }
+    sealed_exposure_ += ExposureHours(info.totals.exposure_hours);
+    sealed_records_ += info.records;
+    sealed_.push_back({sequence, store::Store::shard_filename(sequence, key), key,
+                       info.records, info.totals.exposure_hours});
 }
 
 void Service::seal_current_shard() {
@@ -123,26 +153,17 @@ void Service::seal_current_shard() {
     totals.exposure_hours = pending_exposure_;
     const store::SealReceipt receipt = writer_->seal(totals);
     if (receipt.records != pending_records_) {
-        // The store entry recorded below would claim pending_records_;
-        // a footer that disagrees means a verify pass would later brand
-        // the shard inconsistent, so fail the seal loudly instead.
+        // The index row folded below would claim the footer's count; a
+        // footer that disagrees with what the service accepted means
+        // records were lost, so fail the seal loudly instead.
         throw store::StoreError(
             store::StoreErrorKind::Inconsistent,
             "seal receipt claims " + std::to_string(receipt.records) +
                 " records but the service accepted " +
                 std::to_string(pending_records_));
     }
-    const std::uint64_t key = cache_key_for(next_sequence_);
-    store::ShardEntry entry;
-    entry.fleet_index = next_sequence_;
-    entry.file = store::Store::shard_filename(next_sequence_, key);
-    entry.cache_key = key;
-    entry.records = pending_records_;
-    entry.exposure_hours = pending_exposure_;
-    store_.record(entry);
     writer_.reset();
-    fold_sealed_shard(store_.shard_path(entry));
-    ++next_sequence_;
+    fold_sealed_shard();
     pending_records_ = 0;
     pending_exposure_ = 0.0;
     if (obs::enabled()) obs::add_counter("serve.shards_sealed", 1);
@@ -200,7 +221,7 @@ std::vector<TypeEvidence> Service::sealed_evidence() const {
 std::string Service::verify_json(double confidence) {
     const obs::ScopedTimer timer("serve.verify_ns");
     if (obs::enabled()) obs::add_counter("serve.requests_verify", 1);
-    if (sealed_shards_ == 0 || sealed_exposure_.hours() <= 0.0) {
+    if (sealed_.empty() || sealed_exposure_.hours() <= 0.0) {
         throw ServeError(
             "no sealed evidence yet: stream classify batches (and drain or "
             "roll a shard) before verifying");
@@ -224,7 +245,7 @@ StatusReply Service::status() const {
     StatusReply out;
     out.records_sealed = sealed_records_;
     out.records_pending = pending_records_;
-    out.shards_sealed = sealed_shards_;
+    out.shards_sealed = sealed_.size();
     out.exposure_sealed_hours = sealed_exposure_.hours();
     return out;
 }
@@ -235,6 +256,7 @@ void Service::finish() {
     } else {
         writer_.reset();  // removes an empty .tmp, if one was opened
     }
+    store_.record(sealed_);
 }
 
 }  // namespace qrn::serve

@@ -8,12 +8,15 @@
 // thread pool (per-record work is index-pure), so a large batch still uses
 // every core while the append stays serial.
 //
-// Crash recovery: on startup the service deletes stray `.tmp` files (an
-// interrupted writer's leavings), re-scans every sealed shard through the
-// PR 5 aggregator (which re-checksums all blocks), and resumes appending
-// at the next shard sequence number. Shard names and cache keys are pure
-// functions of (catalog digest, sequence), so a replayed stream with the
-// same batching reproduces byte-identical shards.
+// The sealed shards are the truth; `manifest.json` is an index written
+// once, when finish() drains the service. Shard names and cache keys are
+// pure functions of (catalog digest, sequence), so on startup the service
+// deletes stray `.tmp` files (an interrupted writer's leavings) and probes
+// `Store::shard_filename(i, key(i))` for i = 0, 1, ... until the first
+// missing file, re-checksumming each shard as it folds it; appending
+// resumes at that sequence number. A crash between a seal and the next
+// index write therefore loses nothing, and a replayed stream with the same
+// batching reproduces byte-identical shards.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include "qrn/incident_type.h"
 #include "qrn/risk_norm.h"
 #include "serve/protocol.h"
+#include "store/cache_key.h"
 #include "store/shard.h"
 #include "store/store.h"
 
@@ -49,9 +53,12 @@ struct ServiceConfig {
 
 class Service {
 public:
-    /// Opens (and heals) the store, rebuilds the sealed-prefix evidence
-    /// fold, and precomputes the allocation the verify/allocate replies
-    /// are derived from. Throws StoreError on unreadable/corrupt shards.
+    /// Opens (creating if needed) and heals the store, rebuilds the
+    /// sealed-prefix evidence fold from the shards found by name, and
+    /// precomputes the allocation the verify/allocate replies are derived
+    /// from. Writes no file. Throws StoreError when a shard that carries
+    /// the next sequence's name is unreadable, corrupt, or names another
+    /// key or fleet.
     Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config);
     ~Service();
 
@@ -77,7 +84,8 @@ public:
     [[nodiscard]] StatusReply status() const;
 
     /// Seals the partially-filled live shard (if any records are pending)
-    /// so a graceful drain loses nothing. Idempotent.
+    /// so a graceful drain loses nothing, then writes the store index of
+    /// every sealed shard in one Store::record. Idempotent.
     void finish();
 
     [[nodiscard]] const IncidentTypeSet& types() const noexcept { return types_; }
@@ -85,8 +93,9 @@ public:
 private:
     void seal_current_shard();
     void open_shard_if_needed();
-    void fold_sealed_shard(const std::string& path);
+    void fold_sealed_shard();
     [[nodiscard]] std::uint64_t cache_key_for(std::uint64_t sequence) const;
+    [[nodiscard]] std::string shard_path(std::uint64_t sequence) const;
     [[nodiscard]] std::vector<TypeEvidence> sealed_evidence() const;
 
     RiskNorm norm_;
@@ -97,20 +106,20 @@ private:
     std::unordered_map<const ClassificationNode*, std::uint16_t> leaf_ordinal_;
     std::optional<AllocationProblem> problem_;
     std::optional<Allocation> allocation_;
-    std::string types_digest_;
+    store::KeyHasher key_prefix_;  ///< Salt + catalog digest, mixed once.
 
     store::Store store_;
     std::unique_ptr<store::ShardWriter> writer_;
-    std::uint64_t next_sequence_ = 0;     ///< fleet index of the live shard.
     std::uint64_t pending_records_ = 0;   ///< records in the live shard.
     double pending_exposure_ = 0.0;       ///< exposure in the live shard.
 
     // Sealed-prefix fold, in seal (= fleet) order; reproduces
-    // store::aggregate_evidence over the same shards term for term.
+    // store::aggregate_evidence over the same shards term for term. The
+    // live shard's fleet index is sealed_.size().
+    std::vector<store::ShardEntry> sealed_;  ///< Index rows, from the footers.
     std::vector<std::uint64_t> sealed_type_events_;
     ExposureHours sealed_exposure_;
     std::uint64_t sealed_records_ = 0;
-    std::uint64_t sealed_shards_ = 0;
 };
 
 }  // namespace qrn::serve

@@ -104,9 +104,8 @@ struct FleetConfig {
 /// Incidents are stored column-wise (IncidentColumns): the simulator
 /// appends rows, but every bulk consumer - evidence scans, merging, the
 /// qrn-store shard writer - walks the parallel columns, which mirror the
-/// store's 28-byte record format field for field. Row-style access
-/// (`log.incidents[i]`, range-for) still works through the materializing
-/// compatibility API.
+/// store's 28-byte record format field for field. A single row is
+/// materialized with `log.incidents[i]`.
 struct IncidentLog {
     IncidentColumns incidents;
     ExposureHours exposure;

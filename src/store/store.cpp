@@ -29,40 +29,11 @@ std::uint64_t entry_u64(const json::Value& value, const std::string& what) {
     return *number;
 }
 
-/// One shard row as `json::Value(doc).dump(2)` prints it inside the
-/// document's "shards" array: rendered by the JSON writer, then
-/// re-indented by the two levels (four spaces) of its depth. Strings are
-/// escaped, so every raw newline in the text is a line break of the dump.
-std::string render_row(const ShardEntry& entry) {
-    json::Object row;
-    row.emplace_back("fleet_index",
-                     json::Value(static_cast<std::size_t>(entry.fleet_index)));
-    row.emplace_back("file", json::Value(entry.file));
-    row.emplace_back("key", json::Value(key_hex(entry.cache_key)));
-    row.emplace_back("records",
-                     json::Value(static_cast<std::size_t>(entry.records)));
-    row.emplace_back("exposure_hours", json::Value(entry.exposure_hours));
-    const std::string flat = json::Value(std::move(row)).dump(2);
-    std::string out;
-    out.reserve(flat.size() + 32);
-    for (const char ch : flat) {
-        out += ch;
-        if (ch == '\n') out.append(4, ' ');
-    }
-    return out;
-}
-
 }  // namespace
 
 Store::Store(std::string dir) : dir_(std::move(dir)) {
     if (dir_.empty()) {
         throw StoreError(StoreErrorKind::Io, "store directory path is empty");
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-        throw StoreError(StoreErrorKind::Io, "cannot create store directory '" +
-                                                 dir_ + "': " + ec.message());
     }
     load_manifest();
 }
@@ -121,7 +92,7 @@ void Store::load_manifest() {
                                  "store manifest '" + path +
                                      "' names an invalid shard file '" + entry.file + "'");
             }
-            rows_[entry.fleet_index] = Row{std::move(entry), {}};
+            rows_[entry.fleet_index] = std::move(entry);
         }
     } catch (const StoreError&) {
         throw;
@@ -133,21 +104,30 @@ void Store::load_manifest() {
 }
 
 void Store::write_manifest_locked() {
-    // The bytes json::Value(doc).dump(2) + "\n" prints for the document
-    // {kind, schema_version, shards: [rows...]}, spliced from the cached
-    // row texts; the writer prints an empty array as "[]".
-    std::string text = "{\n  \"kind\": \"" + std::string(kManifestKind) +
-                       "\",\n  \"schema_version\": " +
-                       std::to_string(kManifestSchemaVersion) + ",\n  \"shards\": [";
-    const char* sep = "\n    ";
-    for (auto& [index, row] : rows_) {
-        if (row.text.empty()) row.text = render_row(row.entry);
-        text += sep;
-        text += row.text;
-        sep = ",\n    ";
+    json::Array shards;
+    shards.reserve(rows_.size());
+    for (const auto& [index, entry] : rows_) {
+        shards.push_back(json::Value(json::Object{
+            {"fleet_index", static_cast<std::size_t>(entry.fleet_index)},
+            {"file", entry.file},
+            {"key", key_hex(entry.cache_key)},
+            {"records", static_cast<std::size_t>(entry.records)},
+            {"exposure_hours", entry.exposure_hours},
+        }));
     }
-    text += rows_.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    const json::Value manifest(json::Object{
+        {"kind", std::string(kManifestKind)},
+        {"schema_version", kManifestSchemaVersion},
+        {"shards", std::move(shards)},
+    });
+    const std::string text = manifest.dump(2) + "\n";
 
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    if (ec) {
+        throw StoreError(StoreErrorKind::Io, "cannot create store directory '" +
+                                                 dir_ + "': " + ec.message());
+    }
     const std::string path = manifest_path();
     const std::string tmp = path + std::string(kTempSuffix);
     {
@@ -163,7 +143,6 @@ void Store::write_manifest_locked() {
                              "I/O error while writing store manifest '" + tmp + "'");
         }
     }
-    std::error_code ec;
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
         throw StoreError(StoreErrorKind::Io, "cannot rename '" + tmp + "' to '" +
@@ -174,14 +153,14 @@ void Store::write_manifest_locked() {
 const ShardEntry* Store::find(std::uint64_t fleet_index) const {
     const std::scoped_lock lock(mutex_);
     const auto it = rows_.find(fleet_index);
-    return it == rows_.end() ? nullptr : &it->second.entry;
+    return it == rows_.end() ? nullptr : &it->second;
 }
 
 std::vector<ShardEntry> Store::entries() const {
     const std::scoped_lock lock(mutex_);
     std::vector<ShardEntry> out;
     out.reserve(rows_.size());
-    for (const auto& [index, row] : rows_) out.push_back(row.entry);
+    for (const auto& [index, entry] : rows_) out.push_back(entry);
     return out;
 }
 
@@ -200,8 +179,8 @@ void Store::record(std::span<const ShardEntry> entries) {
     bool changed = !manifest_found_;
     for (const ShardEntry& entry : entries) {
         const auto [it, inserted] = rows_.try_emplace(entry.fleet_index);
-        if (!inserted && it->second.entry == entry) continue;
-        it->second = Row{entry, render_row(entry)};
+        if (!inserted && it->second == entry) continue;
+        it->second = entry;
         changed = true;
     }
     if (!changed) return;

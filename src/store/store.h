@@ -5,10 +5,11 @@
 // find_sealed_shard. `DIR/manifest.json` is an index of what the last
 // finished run recorded, not an authority: nothing is reused because the
 // manifest lists it, so a stale, hand-edited or deleted manifest costs at
-// most a rewrite, never a wrong result or a re-simulation. A run records
-// all of its rows at once, and the file is rewritten atomically (temp +
-// rename) only when some row changed; an interrupted run leaves its
-// sealed shards behind, and they are what the next run resumes from.
+// most a rewrite, never a wrong result or a re-simulation. Every writer -
+// a campaign, the distributed coordinator, the serve daemon at drain -
+// records all of its rows at once, and the file is rewritten atomically
+// (temp + rename) only when some row changed; an interrupted run leaves
+// its sealed shards behind, and they are what the next run resumes from.
 #pragma once
 
 #include <atomic>
@@ -50,14 +51,15 @@ struct SealedShard {
 
 /// A shard store rooted at one directory. Thread-safe: record() rewrites
 /// the manifest under a lock, so the on-disk index is always a consistent
-/// snapshot. Each row's JSON text is rendered once and cached, so a
-/// rewrite splices cached rows instead of re-serializing every entry.
+/// snapshot.
 class Store {
 public:
-    /// Opens (creating if needed) the store directory and loads the
-    /// manifest when one exists. Throws StoreError(Io) when the directory
-    /// cannot be created or the manifest cannot be read, and
-    /// StoreError(Inconsistent) when the manifest is not a store manifest.
+    /// Opens the store directory and loads the manifest when one exists.
+    /// Opening creates nothing: the directory is made by the first
+    /// record() (or by a writer that puts shards there), so a read-only
+    /// command on a mistyped path leaves no directory behind. Throws
+    /// StoreError(Io) when the manifest cannot be read, and
+    /// StoreError(Inconsistent) when it is not a store manifest.
     explicit Store(std::string dir);
 
     [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
@@ -83,11 +85,10 @@ public:
     /// Upserts `entries` (a whole run's rows) and atomically rewrites the
     /// manifest, but only when some row differs from what the store holds
     /// or no manifest exists yet: recording unchanged rows writes nothing,
-    /// and recording none writes an empty index into a fresh store. Throws
-    /// StoreError(Io) when the manifest cannot be written.
+    /// and recording none writes an empty index into a fresh store. Creates
+    /// the directory when it is missing. Throws StoreError(Io) when the
+    /// manifest cannot be written.
     void record(std::span<const ShardEntry> entries);
-    /// One row (the serve daemon records each shard as it seals it).
-    void record(const ShardEntry& entry) { record(std::span(&entry, 1)); }
 
     /// Leftover `*.tmp` files from interrupted writes (sorted). These are
     /// never trusted as shards; inspect reports them so operators know a
@@ -95,19 +96,12 @@ public:
     [[nodiscard]] std::vector<std::string> stray_temp_files() const;
 
 private:
-    /// A manifest row and its rendered JSON text (indented for its place in
-    /// the document); `text` is empty until the row is first written.
-    struct Row {
-        ShardEntry entry;
-        std::string text;
-    };
-
     void load_manifest();
     void write_manifest_locked();
 
     std::string dir_;
     mutable std::mutex mutex_;
-    std::map<std::uint64_t, Row> rows_;
+    std::map<std::uint64_t, ShardEntry> rows_;
     std::atomic<bool> manifest_found_{false};  ///< Set by record() under mutex_.
 };
 

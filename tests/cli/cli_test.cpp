@@ -696,6 +696,20 @@ TEST(Cli, StoreUsageErrors) {
     EXPECT_EQ(run_cli("store inspect --store /no/such/qrn/store").exit_code, 3);
 }
 
+TEST(Cli, ReadOnlyStoreCommandsCreateNoDirectory) {
+    // A mistyped --store path fails as an I/O error and leaves nothing
+    // behind: only a run that writes shards or an index makes the store.
+    const std::string typo = store_dir("typo");
+    const std::string nested = typo + "/nested";
+    for (const std::string& command :
+         {"store inspect --store " + nested, "store verify --store " + nested,
+          "store merge --store " + nested + " --out " + typo + "-merged.qrs",
+          "campaign --fleets 2 --hours 5 --store " + nested + " --resume"}) {
+        EXPECT_EQ(run_cli(command).exit_code, 3) << command;
+        EXPECT_FALSE(std::filesystem::exists(typo)) << command;
+    }
+}
+
 TEST(Cli, PipelineMarkdownVariant) {
     const auto result = run_cli("pipeline --hours 2000 --markdown");
     EXPECT_EQ(result.exit_code, 0);

@@ -1,8 +1,7 @@
 // IncidentColumns: the SoA <-> AoS seam of the incident pipeline. These
 // tests pin the round-trip equivalence the refactor rests on - any row
-// that goes columns -> rows -> columns (or the reverse) must come back
-// field-exact - plus the one-pass evidence scan against the per-type
-// reference count.
+// pushed into the columns must come back field-exact through operator[] -
+// plus the one-pass evidence scan against the per-type reference count.
 #include "qrn/incident_columns.h"
 
 #include <algorithm>
@@ -43,6 +42,13 @@ std::vector<Incident> sample_rows(std::uint64_t seed, std::size_t n) {
     return rows;
 }
 
+IncidentColumns columns_of(const std::vector<Incident>& rows) {
+    IncidentColumns columns;
+    columns.reserve(rows.size());
+    for (const Incident& row : rows) columns.push_back(row);
+    return columns;
+}
+
 void expect_row_equal(const Incident& a, const Incident& b, std::size_t i) {
     EXPECT_EQ(a.first, b.first) << "row " << i;
     EXPECT_EQ(a.second, b.second) << "row " << i;
@@ -55,23 +61,26 @@ void expect_row_equal(const Incident& a, const Incident& b, std::size_t i) {
 
 TEST(IncidentColumns, RoundTripsEveryFieldExactly) {
     const auto rows = sample_rows(11, 500);
-    const auto columns = IncidentColumns::from_vector(rows);
+    const auto columns = columns_of(rows);
     ASSERT_EQ(columns.size(), rows.size());
-    const auto back = columns.to_vector();
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        expect_row_equal(back[i], rows[i], i);
+    std::vector<Incident> back;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        back.push_back(columns[i]);
         expect_row_equal(columns[i], rows[i], i);
     }
     // And the reverse seam: columns -> rows -> columns is identity.
-    EXPECT_EQ(IncidentColumns::from_vector(back), columns);
+    EXPECT_EQ(columns_of(back), columns);
 }
 
-TEST(IncidentColumns, PushBackMatchesFromVector) {
+TEST(IncidentColumns, PushBackMatchesEmplaceBack) {
     const auto rows = sample_rows(12, 64);
-    IncidentColumns incremental;
-    for (const Incident& row : rows) incremental.push_back(row);
-    EXPECT_EQ(incremental, IncidentColumns::from_vector(rows));
+    IncidentColumns emplaced;
+    for (const Incident& row : rows) {
+        emplaced.emplace_back(row.first, row.second, row.mechanism,
+                              row.relative_speed_kmh, row.min_distance_m,
+                              row.ego_causing_factor, row.timestamp_hours);
+    }
+    EXPECT_EQ(emplaced, columns_of(rows));
 }
 
 TEST(IncidentColumns, AppendConcatenatesInOrder) {
@@ -80,13 +89,13 @@ TEST(IncidentColumns, AppendConcatenatesInOrder) {
     auto combined_rows = rows_a;
     combined_rows.insert(combined_rows.end(), rows_b.begin(), rows_b.end());
 
-    auto columns = IncidentColumns::from_vector(rows_a);
-    columns.append(IncidentColumns::from_vector(rows_b));
-    EXPECT_EQ(columns, IncidentColumns::from_vector(combined_rows));
+    auto columns = columns_of(rows_a);
+    columns.append(columns_of(rows_b));
+    EXPECT_EQ(columns, columns_of(combined_rows));
 }
 
 TEST(IncidentColumns, ColumnsStayEqualLength) {
-    const auto columns = IncidentColumns::from_vector(sample_rows(15, 33));
+    const auto columns = columns_of(sample_rows(15, 33));
     const std::size_t n = columns.size();
     EXPECT_EQ(columns.firsts().size(), n);
     EXPECT_EQ(columns.seconds().size(), n);
@@ -97,27 +106,8 @@ TEST(IncidentColumns, ColumnsStayEqualLength) {
     EXPECT_EQ(columns.timestamps_hours().size(), n);
 }
 
-TEST(IncidentColumns, ProxyIteratorMaterializesRows) {
-    const auto rows = sample_rows(16, 20);
-    const auto columns = IncidentColumns::from_vector(rows);
-    std::size_t i = 0;
-    for (const Incident incident : columns) {
-        expect_row_equal(incident, rows[i], i);
-        ++i;
-    }
-    EXPECT_EQ(i, rows.size());
-    // std::vector range-insert through the proxy iterator (the pattern
-    // pooling code uses) sees the same rows.
-    std::vector<Incident> pooled;
-    pooled.insert(pooled.end(), columns.begin(), columns.end());
-    ASSERT_EQ(pooled.size(), rows.size());
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-        expect_row_equal(pooled[j], rows[j], j);
-    }
-}
-
 TEST(IncidentColumns, ClearEmptiesAllColumns) {
-    auto columns = IncidentColumns::from_vector(sample_rows(17, 8));
+    auto columns = columns_of(sample_rows(17, 8));
     ASSERT_FALSE(columns.empty());
     columns.clear();
     EXPECT_TRUE(columns.empty());
@@ -131,7 +121,7 @@ TEST(CountMatchingAll, AgreesWithPerTypeReference) {
     for (std::size_t i = 0; i < rows.size(); i += 2) {
         rows[i].second = ActorType::Vru;
     }
-    const auto columns = IncidentColumns::from_vector(rows);
+    const auto columns = columns_of(rows);
 
     const auto counts = count_matching_all(columns, types);
     ASSERT_EQ(counts.size(), types.size());

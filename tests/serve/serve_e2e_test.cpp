@@ -160,10 +160,15 @@ TEST_F(ServeE2E, VerifyAndAllocateMatchTheBatchCliByteForByte) {
     const auto allocate_reply = c.allocate();
     ASSERT_EQ(allocate_reply.status, Status::Ok);
 
+    // The store index is written at drain; both batches were exact rolls,
+    // so draining seals no further shard.
+    server_->drain();
+
     // Rebuild the same evidence the daemon folded, through the same
     // aggregator, and push it through the batch CLI.
     const auto types = IncidentTypeSet::paper_vru_example();
     const store::Store st(dir_ + "/store");
+    ASSERT_EQ(st.entries().size(), 2u);
     std::vector<store::ShardRef> refs;
     for (const auto& entry : st.entries()) {
         refs.push_back({entry.fleet_index, st.shard_path(entry)});

@@ -50,7 +50,8 @@ TEST(Fleet, EncountersScaleWithHours) {
 
 TEST(Fleet, AllLoggedIncidentsAreValidAndStamped) {
     const auto log = FleetSimulator(urban_config()).run(500.0);
-    for (const auto& incident : log.incidents) {
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        const Incident incident = log.incidents[i];
         EXPECT_NO_THROW(validate(incident));
         EXPECT_LE(incident.timestamp_hours, 500.0);
     }
@@ -197,7 +198,8 @@ TEST(Fleet, SecondaryConflictsProduceInducedIncidents) {
     const auto log = FleetSimulator(config).run(3000.0);
     EXPECT_GT(log.induced_count(), 0u);
     // Induced incidents are valid records with ego as causing factor only.
-    for (const auto& incident : log.incidents) {
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        const Incident incident = log.incidents[i];
         if (incident.ego_causing_factor) {
             EXPECT_FALSE(incident.involves_ego());
             EXPECT_NO_THROW(validate(incident));
@@ -205,7 +207,8 @@ TEST(Fleet, SecondaryConflictsProduceInducedIncidents) {
     }
     // Rear-end records appear as ego-involved Car collisions.
     std::uint64_t rear_ends = 0;
-    for (const auto& incident : log.incidents) {
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        const Incident incident = log.incidents[i];
         if (incident.involves_ego() && incident.second == ActorType::Car &&
             incident.mechanism == IncidentMechanism::Collision) {
             ++rear_ends;
@@ -228,7 +231,8 @@ TEST(Fleet, InducedIncidentsClassifyIntoFig4LowerHalf) {
     const auto log = FleetSimulator(config).run(2000.0);
     const auto tree = qrn::ClassificationTree::paper_example();
     bool saw_lower_half = false;
-    for (const auto& incident : log.incidents) {
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        const Incident incident = log.incidents[i];
         const auto path = tree.classify(incident);
         if (incident.ego_causing_factor) {
             saw_lower_half = true;
@@ -280,7 +284,8 @@ TEST(Fleet, MrmCarriesItsOwnSmallRisk) {
     // stretch); expect ~200 low-speed rear-ends.
     EXPECT_GT(log.incidents.size(), 120u);
     EXPECT_LT(log.incidents.size(), 280u);
-    for (const auto& incident : log.incidents) {
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        const Incident incident = log.incidents[i];
         EXPECT_EQ(incident.second, ActorType::Car);
         EXPECT_LE(incident.relative_speed_kmh, 15.0);
     }

@@ -110,7 +110,9 @@ TEST(Aggregate, ContributionsMatchInMemoryLabellingExactly) {
     // the RNG stream of its global index, tally.
     std::vector<Incident> pooled;
     for (const auto& log : result.logs) {
-        pooled.insert(pooled.end(), log.incidents.begin(), log.incidents.end());
+        for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+            pooled.push_back(log.incidents[i]);
+        }
     }
     ASSERT_FALSE(pooled.empty()) << "campaign too quiet to exercise labelling";
     const auto labelled = label_incidents(pooled, norm, model, profile, seed, 1);

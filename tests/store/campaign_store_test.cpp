@@ -259,6 +259,7 @@ TEST(CampaignStore, SealedButUnrecordedShardIsReused) {
     // fleet 2 without recording it anywhere.
     const auto config = small_campaign();
     const std::string dir = fresh_dir("unrecorded");
+    std::filesystem::create_directories(dir);  // opening a Store creates nothing
     Store store(dir);
     const ShardEntry sealed = simulate_fleet_shard(config, dir, 2, kDigest);
     const std::string bytes = slurp(store.shard_path(sealed));

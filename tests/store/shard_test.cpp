@@ -189,7 +189,9 @@ TEST(Shard, AppendColumnsMatchesPerRecordAppend) {
     const std::string row_path = temp_shard("rows");
     {
         ShardWriter writer(row_path, 9, 2);
-        for (const Incident incident : log.incidents) writer.append(incident);
+        for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+            writer.append(log.incidents[i]);
+        }
         const SealReceipt receipt = writer.seal(totals_of(log));
         EXPECT_EQ(receipt.records, log.incidents.size());
     }
@@ -220,7 +222,7 @@ TEST(Shard, ForEachBlockStreamsTheSameRows) {
     write_shard(path, 4, 1, log);
 
     ShardReader per_record(path);
-    std::vector<Incident> rows;
+    IncidentColumns rows;
     (void)per_record.for_each([&rows](const Incident& incident) {
         rows.push_back(incident);
     });
@@ -234,7 +236,7 @@ TEST(Shard, ForEachBlockStreamsTheSameRows) {
             scanned.append(block);
         });
     EXPECT_EQ(info.records, log.incidents.size());
-    EXPECT_EQ(scanned, IncidentColumns::from_vector(rows));
+    EXPECT_EQ(scanned, rows);
     EXPECT_EQ(scanned, log.incidents);
     std::filesystem::remove(path);
 }
@@ -319,7 +321,9 @@ TEST(Shard, SealReceiptPinsRecordsAndFileBytes) {
     const auto log = sample_log(kBlockRecords + 3);
     const std::string path = temp_shard("receipt");
     ShardWriter writer(path, 5, 1);
-    for (const Incident incident : log.incidents) writer.append(incident);
+    for (std::size_t i = 0; i < log.incidents.size(); ++i) {
+        writer.append(log.incidents[i]);
+    }
     const SealReceipt receipt = writer.seal(totals_of(log));
     EXPECT_EQ(receipt.records, log.incidents.size());
     EXPECT_EQ(receipt.file_bytes, std::filesystem::file_size(path));

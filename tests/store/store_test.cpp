@@ -46,23 +46,28 @@ ShardEntry entry_for(std::uint64_t fleet_index, std::uint64_t key) {
     return entry;
 }
 
+/// Records one row: a run of one.
+void record_row(Store& store, const ShardEntry& entry) {
+    store.record(std::span(&entry, 1));
+}
+
 TEST(Store, FreshDirectoryHasNoManifest) {
     const std::string dir = fresh_dir("fresh");
     const Store store(dir);
     EXPECT_FALSE(store.manifest_found());
     EXPECT_TRUE(store.entries().empty());
     EXPECT_EQ(store.find(0), nullptr);
-    EXPECT_TRUE(std::filesystem::is_directory(dir));
-    // Opening is not recording: no manifest is written until a shard is.
-    EXPECT_FALSE(std::filesystem::exists(store.manifest_path()));
+    // Opening is not recording: it creates neither the directory nor a
+    // manifest, so a read-only command on a mistyped path leaves nothing.
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(Store, RecordPersistsAcrossReopen) {
     const std::string dir = fresh_dir("reopen");
     {
         Store store(dir);
-        store.record(entry_for(2, 0xABCDEF0123456789ULL));
-        store.record(entry_for(0, 0x0000000000000042ULL));
+        record_row(store, entry_for(2, 0xABCDEF0123456789ULL));
+        record_row(store, entry_for(0, 0x0000000000000042ULL));
     }
     const Store reopened(dir);
     EXPECT_TRUE(reopened.manifest_found());
@@ -84,15 +89,15 @@ TEST(Store, RecordPersistsAcrossReopen) {
 TEST(Store, RecordUpsertsByFleetIndex) {
     const std::string dir = fresh_dir("upsert");
     Store store(dir);
-    store.record(entry_for(3, 1));
-    store.record(entry_for(3, 2));
+    record_row(store, entry_for(3, 1));
+    record_row(store, entry_for(3, 2));
     const auto entries = store.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].cache_key, 2u);
 }
 
 /// The manifest a store holding `entries` must write: the JSON writer's
-/// own dump of the whole document, which cached row texts must reproduce.
+/// own dump of the whole document.
 std::string expected_manifest(const std::vector<ShardEntry>& entries) {
     json::Array shards;
     for (const auto& entry : entries) {
@@ -127,26 +132,26 @@ TEST(Store, ManifestBytesEqualAFullJsonDumpAfterEveryRecord) {
     };
     {
         Store store(dir);
-        store.record(entry_for(5, 0x5555));
+        record_row(store, entry_for(5, 0x5555));
         expect_identical(store, "first row");
-        store.record(entry_for(1, 0x1111));
+        record_row(store, entry_for(1, 0x1111));
         expect_identical(store, "row before an existing one");
         ShardEntry odd = entry_for(3, 0x3333);
         // Escapes in a string value must survive the re-indentation, and a
         // fractional exposure takes the %.17g path of the writer.
         odd.file = "odd \"name\"\twith\nescapes.qrs";
         odd.exposure_hours = 0.1;
-        store.record(odd);
+        record_row(store, odd);
         expect_identical(store, "row in the middle");
-        store.record(entry_for(1, 0xABCDEF0123456789ULL));
+        record_row(store, entry_for(1, 0xABCDEF0123456789ULL));
         expect_identical(store, "overwritten fleet index");
     }
     Store reopened(dir);
     ASSERT_EQ(reopened.entries().size(), 3u);
     EXPECT_EQ(reopened.find(3)->file, "odd \"name\"\twith\nescapes.qrs");
-    reopened.record(entry_for(0, 0x0));
+    record_row(reopened, entry_for(0, 0x0));
     expect_identical(reopened, "first record after reopening");
-    reopened.record(entry_for(5, 0x5556));
+    record_row(reopened, entry_for(5, 0x5556));
     expect_identical(reopened, "overwrite after reopening");
     // A whole run's rows in one call: two new rows and one changed row.
     const std::vector<ShardEntry> run = {entry_for(7, 0x7777), entry_for(2, 0x2222),
@@ -188,16 +193,16 @@ TEST(Store, RecordingUnchangedRowsLeavesTheManifestAlone) {
     };
     {
         Store store(dir);
-        for (const auto& row : rows) store.record(row);
+        for (const auto& row : rows) record_row(store, row);
         pin_manifest(store);
-        for (const auto& row : rows) store.record(row);
+        for (const auto& row : rows) record_row(store, row);
         EXPECT_TRUE(unchanged(store));
     }
     Store reopened(dir);
-    for (const auto& row : rows) reopened.record(row);
+    for (const auto& row : rows) record_row(reopened, row);
     EXPECT_TRUE(unchanged(reopened));
     // One changed row rewrites the index.
-    reopened.record(entry_for(1, 0x12));
+    record_row(reopened, entry_for(1, 0x12));
     EXPECT_FALSE(unchanged(reopened));
     EXPECT_EQ(read_text(reopened.manifest_path()),
               expected_manifest({rows[0], entry_for(1, 0x12)}));
@@ -280,6 +285,7 @@ TEST(Store, RejectsManifestEscapingTheDirectory) {
 
 TEST(Store, StrayTempFilesAreReportedSorted) {
     const std::string dir = fresh_dir("stray");
+    std::filesystem::create_directories(dir);
     Store store(dir);
     write_text(dir + "/fleet-00001-00000000000000aa.qrs.tmp", "torn");
     write_text(dir + "/fleet-00000-00000000000000bb.qrs.tmp", "torn");
