@@ -14,13 +14,16 @@
 // vanishes is how the baseline went dead for three PRs.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "sched/plan.h"
 #include "serve/client.h"
@@ -339,6 +342,24 @@ void BM_ShardRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardRead)->Arg(1000)->Arg(10000);
 
+/// A started Server over a fresh store in `dir`, listening on
+/// `dir/qrn.sock`.
+std::unique_ptr<serve::Server> start_bench_server(const std::filesystem::path& dir,
+                                                  std::uint64_t shard_roll) {
+    std::filesystem::remove_all(dir);
+    serve::ServiceConfig service_config;
+    service_config.store_dir = (dir / "store").string();
+    service_config.shard_roll = shard_roll;
+    auto service = std::make_unique<serve::Service>(
+        RiskNorm::paper_example(), IncidentTypeSet::paper_vru_example(),
+        service_config);
+    serve::ServerConfig server_config;
+    server_config.socket_path = (dir / "qrn.sock").string();
+    auto server = std::make_unique<serve::Server>(std::move(service), server_config);
+    server->start();
+    return server;
+}
+
 /// The serve daemon's hot path, end to end over loopback: one client
 /// streaming classify batches of range(0) records each through a real
 /// Server on a Unix-domain socket - frame encode/decode, bounded queue,
@@ -347,19 +368,9 @@ BENCHMARK(BM_ShardRead)->Arg(1000)->Arg(10000);
 void BM_ServeClassify(benchmark::State& state) {
     const auto dir =
         std::filesystem::temp_directory_path() / "qrn_bench_serve";
-    std::filesystem::remove_all(dir);
-    serve::ServiceConfig service_config;
-    service_config.store_dir = (dir / "store").string();
-    service_config.shard_roll = 1u << 16;
-    auto service = std::make_unique<serve::Service>(
-        RiskNorm::paper_example(), IncidentTypeSet::paper_vru_example(),
-        service_config);
-    serve::ServerConfig server_config;
-    server_config.socket_path = (dir / "qrn.sock").string();
-    serve::Server server(std::move(service), server_config);
-    server.start();
+    const auto server = start_bench_server(dir, 1u << 16);
     {
-        auto client = serve::Client::connect_unix(server_config.socket_path);
+        auto client = serve::Client::connect_unix((dir / "qrn.sock").string());
         const auto count = static_cast<std::size_t>(state.range(0));
         std::vector<Incident> batch;
         batch.reserve(count);
@@ -376,11 +387,56 @@ void BM_ServeClassify(benchmark::State& state) {
         }
         client.close();
     }
-    server.drain();
+    server->drain();
     std::filesystem::remove_all(dir);
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ServeClassify)->Arg(512)->Arg(4096)->UseRealTime();
+
+/// The serve_ingest shape, where shards roll: 4 connections streaming
+/// 256-record classify batches into a real Server at the default
+/// shard_roll of 4096, so every 16 batches seal a shard (fsyncs, rename,
+/// checksummed read-back). Each iteration sends 16 batches per connection,
+/// four rolls. BM_ServeClassify rolls once per 65,536 records on one
+/// connection and so cannot see the cost of a seal.
+void BM_ServeRoll(benchmark::State& state) {
+    constexpr unsigned kConnections = 4;
+    constexpr std::size_t kBatch = 256;
+    constexpr std::size_t kBatchesPerConnection = 16;
+    const auto dir = std::filesystem::temp_directory_path() / "qrn_bench_serve_roll";
+    const auto server = start_bench_server(dir, 4096);
+    {
+        std::vector<serve::Client> clients;
+        for (unsigned c = 0; c < kConnections; ++c) {
+            clients.push_back(serve::Client::connect_unix((dir / "qrn.sock").string()));
+        }
+        std::vector<Incident> batch;
+        batch.reserve(kBatch);
+        for (std::size_t i = 0; i < kBatch; ++i) batch.push_back(serve::stream_incident(i));
+        std::atomic<bool> rejected{false};
+        for (auto _ : state) {
+            // One pool task per connection, each a blocking client.
+            exec::parallel_for(kConnections, kConnections, [&](const exec::ChunkRange& range) {
+                for (std::size_t c = range.begin; c < range.end; ++c) {
+                    for (std::size_t b = 0; b < kBatchesPerConnection; ++b) {
+                        const auto reply = clients[c].classify_with_retry(10.0, batch);
+                        if (reply.status != serve::Status::Ok) rejected = true;
+                    }
+                }
+            });
+            if (rejected) {
+                state.SkipWithError("classify batch rejected");
+                break;
+            }
+        }
+        for (auto& client : clients) client.close();
+    }
+    server->drain();
+    std::filesystem::remove_all(dir);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kConnections * kBatchesPerConnection * kBatch));
+}
+BENCHMARK(BM_ServeRoll)->UseRealTime();
 
 /// The distributed coordinator's per-campaign set-up cost besides the
 /// plan itself: compile a range(0)-fleet plan into its work DAG, measure

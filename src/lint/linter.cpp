@@ -47,12 +47,13 @@ std::string relativize(std::string path) {
                                                             "bench", "examples"};
     std::size_t best = std::string::npos;
     for (const std::string_view root : kRoots) {
-        const std::string mid = "/" + std::string(root) + "/";
+        std::string mid = "/";
+        mid.append(root).append("/");
         const std::size_t at = path.rfind(mid);
         if (at != std::string::npos && (best == std::string::npos || at + 1 > best)) {
             best = at + 1;
         }
-        const std::string lead = std::string(root) + "/";
+        const std::string lead = std::string(root).append("/");
         if (path.compare(0, lead.size(), lead) == 0 && best == std::string::npos) {
             best = 0;
         }

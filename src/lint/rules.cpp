@@ -109,8 +109,8 @@ void check_naked_new(const FileContext& c, std::vector<Finding>& out) {
 
 void check_thread_discipline(const FileContext& c, std::vector<Finding>& out) {
     // Two sanctioned concurrency modules: src/exec owns the pool, and
-    // src/serve owns the daemon's long-lived accept/reader/dispatcher
-    // threads (I/O-bound waiting a fixed pool cannot host without
+    // src/serve owns the daemon's long-lived accept/reader/dispatcher/
+    // sealer threads (I/O-bound waiting a fixed pool cannot host without
     // starving compute work).
     if (path_starts_with(c.path, "src/exec/") ||
         path_starts_with(c.path, "src/serve/")) {

@@ -66,8 +66,12 @@ public:
     /// spaces per level.
     [[nodiscard]] std::string dump(int indent = 0) const;
 
-private:
+    /// Appends the serialization to `out` as it appears `depth` levels
+    /// deep inside a document dumped with `indent`, so a large document
+    /// can be rendered one element at a time.
     void dump_to(std::string& out, int indent, int depth) const;
+
+private:
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 

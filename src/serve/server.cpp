@@ -198,7 +198,10 @@ void Server::reader_loop(Socket socket) {
 void Server::dispatch_loop() {
     // qrn:dispatcher(begin) -- the sole store-append serializer: blocking
     // here stalls every queued request, so socket/file I/O, sleeps and
-    // joins are banned inside (pop() is the one sanctioned wait).
+    // joins are banned inside (pop() is the one sanctioned wait). The
+    // seal's fsyncs run on the Service's sealer thread; a request waits
+    // for them only when it rolls again or queries the sealed prefix
+    // while a shard is still sealing.
     while (auto job = queue_->pop()) {
         Status status = Status::Ok;
         std::string payload;

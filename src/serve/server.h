@@ -1,5 +1,5 @@
 // The qrn-serve daemon shell: sockets, threads, the bounded request queue
-// and the graceful-drain lifecycle around a single-threaded Service.
+// and the graceful-drain lifecycle around a Service.
 //
 // Thread structure (the only sanctioned std::thread use outside src/exec):
 //
@@ -10,6 +10,9 @@
 //   dispatcher thread  the sole consumer: executes requests against the
 //                      Service one at a time, which serializes every
 //                      store append into deterministic arrival order
+//   sealer thread      owned by the Service, started at its first roll:
+//                      seals and re-reads each full shard while the
+//                      dispatcher appends to the next one
 //
 // Readers block on their request's reply rendezvous and write the
 // response themselves, so per-connection request/reply ordering holds

@@ -15,6 +15,14 @@
 
 namespace qrn::serve {
 
+// The sealed prefix and the hand-off slot are declared in service.h; the
+// file-wide form re-states their lock where the accesses live.
+// qrn:guarded_by(sealed_, seal_mutex_)
+// qrn:guarded_by(handoff_, seal_mutex_)
+// qrn:guarded_by(sealing_, seal_mutex_)
+// qrn:guarded_by(stopping_, seal_mutex_)
+// qrn:guarded_by(seal_failure_, seal_mutex_)
+
 namespace {
 
 /// Format-version salt of serve shard cache keys. Serve shards are not
@@ -53,8 +61,10 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
       types_(std::move(types)),
       config_(std::move(config)),
       tree_(ClassificationTree::paper_example()),
-      key_prefix_(serve_key_prefix(types_)),
-      store_(config_.store_dir) {
+      key_prefix_(serve_key_prefix(types_)) {
+    if (config_.store_dir.empty()) {
+        throw store::StoreError(store::StoreErrorKind::Io, "store directory path is empty");
+    }
     if (config_.shard_roll == 0) {
         throw ServeError("shard_roll must be >= 1");
     }
@@ -71,30 +81,39 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
         problem_.emplace(norm_, types_, matrix);
         allocation_.emplace(allocate_water_filling(*problem_));
     }
-    sealed_type_events_.assign(types_.size(), 0);
-
     std::error_code ec;
-    std::filesystem::create_directories(store_.dir(), ec);
+    std::filesystem::create_directories(config_.store_dir, ec);
     if (ec) {
         throw store::StoreError(store::StoreErrorKind::Io,
-                                "cannot create store directory '" + store_.dir() +
+                                "cannot create store directory '" + config_.store_dir +
                                     "': " + ec.message());
     }
     // Heal: an interrupted writer leaves a `.tmp` no reader ever trusts.
-    for (const auto& name : store_.stray_temp_files()) {
-        std::filesystem::remove(store_.dir() + "/" + name);
+    for (const auto& name : store::stray_temp_files(config_.store_dir)) {
+        std::filesystem::remove(config_.store_dir + "/" + name);
     }
     // Rebuild the sealed-prefix fold from the shards themselves, found by
     // name in sequence order up to the first missing file. A file that is
     // there but unreadable or corrupt is not the end of the sequence: its
     // scan throws and fails startup loudly.
-    while (std::filesystem::status(shard_path(sealed_.size()), ec).type() !=
+    const std::lock_guard<std::mutex> lock(seal_mutex_);
+    sealed_.type_events.assign(types_.size(), 0);
+    while (std::filesystem::status(shard_path(next_sequence_), ec).type() !=
            std::filesystem::file_type::not_found) {
-        fold_sealed_shard();
+        sealed_.add(fold_shard(next_sequence_));
+        ++next_sequence_;
     }
 }
 
-Service::~Service() = default;
+Service::~Service() {
+    if (!sealer_.joinable()) return;
+    {
+        const std::lock_guard<std::mutex> lock(seal_mutex_);
+        stopping_ = true;
+    }
+    seal_cv_.notify_all();
+    sealer_.join();
+}
 
 std::uint64_t Service::cache_key_for(std::uint64_t sequence) const {
     store::KeyHasher hasher = key_prefix_;
@@ -103,24 +122,31 @@ std::uint64_t Service::cache_key_for(std::uint64_t sequence) const {
 }
 
 std::string Service::shard_path(std::uint64_t sequence) const {
-    return store_.dir() + "/" +
+    return config_.store_dir + "/" +
            store::Store::shard_filename(sequence, cache_key_for(sequence));
 }
 
 void Service::open_shard_if_needed() {
     if (writer_) return;
-    const std::uint64_t sequence = sealed_.size();
-    writer_ = std::make_unique<store::ShardWriter>(shard_path(sequence),
-                                                   cache_key_for(sequence), sequence);
+    writer_ = std::make_unique<store::ShardWriter>(
+        shard_path(next_sequence_), cache_key_for(next_sequence_), next_sequence_);
 }
 
-void Service::fold_sealed_shard() {
-    // The one scan of the shard at the next sequence number, on restart and
-    // after a seal alike: the header must name this sequence and key, every
-    // block is checksummed, and the per-type counts are the ones
+void Service::SealedPrefix::add(ShardFold fold) {
+    for (std::size_t k = 0; k < type_events.size(); ++k) {
+        type_events[k] += fold.type_events[k];
+    }
+    exposure += ExposureHours(fold.entry.exposure_hours);
+    records += fold.entry.records;
+    shards.push_back(std::move(fold.entry));
+}
+
+Service::ShardFold Service::fold_shard(std::uint64_t sequence) const {
+    // The one scan of a sealed shard, on restart and after a seal alike:
+    // the header must name this sequence and key, every block is
+    // checksummed, and the per-type counts are the ones
     // store::aggregate_evidence takes, so folding them in seal order
     // reproduces a full aggregate over the sealed prefix bit for bit.
-    const std::uint64_t sequence = sealed_.size();
     const std::uint64_t key = cache_key_for(sequence);
     const std::string path = shard_path(sequence);
     store::ShardReader reader(path);
@@ -132,45 +158,102 @@ void Service::fold_sealed_shard() {
                 ", not serve sequence " + std::to_string(sequence) + " under key " +
                 store::key_hex(key));
     }
-    std::vector<std::uint64_t> type_events(types_.size(), 0);
+    ShardFold fold;
+    fold.type_events.assign(types_.size(), 0);
     const store::ShardInfo info =
         reader.for_each_block([&](const IncidentColumns& block) {
             const std::vector<std::uint64_t> counts = count_matching_all(block, types_);
-            for (std::size_t k = 0; k < types_.size(); ++k) type_events[k] += counts[k];
+            for (std::size_t k = 0; k < types_.size(); ++k) fold.type_events[k] += counts[k];
         });
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-        sealed_type_events_[k] += type_events[k];
-    }
-    sealed_exposure_ += ExposureHours(info.totals.exposure_hours);
-    sealed_records_ += info.records;
-    sealed_.push_back({sequence, store::Store::shard_filename(sequence, key), key,
-                       info.records, info.totals.exposure_hours});
+    fold.entry = {sequence, store::Store::shard_filename(sequence, key), key, info.records,
+                  info.totals.exposure_hours};
+    return fold;
 }
 
-void Service::seal_current_shard() {
+Service::ShardFold Service::seal_shard(SealJob& job) const {
     const obs::ScopedTimer timer("serve.seal_ns");
     store::ShardTotals totals;
-    totals.exposure_hours = pending_exposure_;
-    const store::SealReceipt receipt = writer_->seal(totals);
-    if (receipt.records != pending_records_) {
+    totals.exposure_hours = job.exposure_hours;
+    const store::SealReceipt receipt = job.writer->seal(totals);
+    if (receipt.records != job.records) {
         // The index row folded below would claim the footer's count; a
         // footer that disagrees with what the service accepted means
         // records were lost, so fail the seal loudly instead.
         throw store::StoreError(
             store::StoreErrorKind::Inconsistent,
             "seal receipt claims " + std::to_string(receipt.records) +
-                " records but the service accepted " +
-                std::to_string(pending_records_));
+                " records but the service accepted " + std::to_string(job.records));
     }
-    writer_.reset();
-    fold_sealed_shard();
+    ShardFold fold = fold_shard(job.sequence);
+    if (obs::enabled()) obs::add_counter("serve.shards_sealed", 1);
+    return fold;
+}
+
+void Service::sealer_loop() {
+    std::unique_lock<std::mutex> lock(seal_mutex_);
+    for (;;) {
+        seal_cv_.wait(lock, [&] { return handoff_.has_value() || stopping_; });
+        // A stop request still lets the handed-off shard seal first.
+        if (!handoff_) return;
+        SealJob job = std::move(*handoff_);
+        handoff_.reset();
+        lock.unlock();
+        std::optional<ShardFold> fold;
+        std::exception_ptr failure;
+        try {
+            fold = seal_shard(job);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        job.writer.reset();  // a writer that failed to seal drops its .tmp
+        lock.lock();
+        if (fold) {
+            sealed_.add(std::move(*fold));
+        } else {
+            seal_failure_ = failure;
+        }
+        sealing_ = false;
+        seal_cv_.notify_all();
+    }
+}
+
+void Service::rethrow_seal_failure() const {
+    const std::lock_guard<std::mutex> lock(seal_mutex_);
+    if (seal_failure_) std::rethrow_exception(seal_failure_);
+}
+
+/// Waits until no shard is sealing, rethrows a failed seal, then calls
+/// `read` on the sealed prefix under the lock. Only the dispatcher hands
+/// shards off, so the prefix it reads is final for the request.
+template <typename Fn>
+decltype(auto) Service::settled(Fn&& read) const {
+    std::unique_lock<std::mutex> lock(seal_mutex_);
+    seal_cv_.wait(lock, [&] { return !sealing_; });
+    if (seal_failure_) std::rethrow_exception(seal_failure_);
+    return read(sealed_);
+}
+
+void Service::roll_live_shard() {
+    if (!sealer_.joinable()) sealer_ = std::thread([this] { sealer_loop(); });
+    // At most one shard seals at a time: a roll that catches the previous
+    // seal still running waits for it, which keeps memory bounded and
+    // shards reaching their final names in sequence order.
+    settled([](const SealedPrefix&) {});
+    {
+        const std::lock_guard<std::mutex> lock(seal_mutex_);
+        handoff_.emplace(
+            SealJob{std::move(writer_), next_sequence_, pending_records_, pending_exposure_});
+        sealing_ = true;
+    }
+    seal_cv_.notify_all();
+    ++next_sequence_;
     pending_records_ = 0;
     pending_exposure_ = 0.0;
-    if (obs::enabled()) obs::add_counter("serve.shards_sealed", 1);
 }
 
 std::vector<ClassifyRow> Service::classify_batch(const ClassifyRequest& request) {
     const obs::ScopedTimer timer("serve.batch_ns");
+    rethrow_seal_failure();
     const auto& incidents = request.incidents;
     // Classification is index-pure, so the batch fans out over the shared
     // exec pool; rows come back in record order regardless of schedule.
@@ -191,7 +274,7 @@ std::vector<ClassifyRow> Service::classify_batch(const ClassifyRequest& request)
             writer_->append(incident);
             pending_exposure_ += per_record;
             ++pending_records_;
-            if (pending_records_ == config_.shard_roll) seal_current_shard();
+            if (pending_records_ == config_.shard_roll) roll_live_shard();
         }
     } else {
         // A record-free batch still carries exposure; it attaches to the
@@ -205,31 +288,30 @@ std::vector<ClassifyRow> Service::classify_batch(const ClassifyRequest& request)
     return rows;
 }
 
-std::vector<TypeEvidence> Service::sealed_evidence() const {
-    std::vector<TypeEvidence> out;
-    out.reserve(types_.size());
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-        TypeEvidence e;
-        e.incident_type_id = types_.at(k).id();
-        e.events = sealed_type_events_[k];
-        e.exposure = sealed_exposure_;
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
 std::string Service::verify_json(double confidence) {
     const obs::ScopedTimer timer("serve.verify_ns");
     if (obs::enabled()) obs::add_counter("serve.requests_verify", 1);
-    if (sealed_.empty() || sealed_exposure_.hours() <= 0.0) {
-        throw ServeError(
-            "no sealed evidence yet: stream classify batches (and drain or "
-            "roll a shard) before verifying");
-    }
+    const std::vector<TypeEvidence> sealed_evidence = settled([&](const SealedPrefix& sealed) {
+        if (sealed.shards.empty() || sealed.exposure.hours() <= 0.0) {
+            throw ServeError(
+                "no sealed evidence yet: stream classify batches (and drain or "
+                "roll a shard) before verifying");
+        }
+        std::vector<TypeEvidence> out;
+        out.reserve(types_.size());
+        for (std::size_t k = 0; k < types_.size(); ++k) {
+            TypeEvidence e;
+            e.incident_type_id = types_.at(k).id();
+            e.events = sealed.type_events[k];
+            e.exposure = sealed.exposure;
+            out.push_back(std::move(e));
+        }
+        return out;
+    });
     // Round-trip the evidence through its JSON document exactly as the
     // batch path does (campaign writes it, `verify --evidence` re-reads
     // it), so the report bytes cannot diverge on serialization precision.
-    const auto evidence = evidence_from_json(evidence_to_json(sealed_evidence()));
+    const auto evidence = evidence_from_json(evidence_to_json(sealed_evidence));
     const auto report =
         verify_against_evidence(*problem_, *allocation_, evidence, confidence);
     return to_json(report).dump(2) + "\n";
@@ -237,26 +319,33 @@ std::string Service::verify_json(double confidence) {
 
 std::string Service::allocate_json() const {
     if (obs::enabled()) obs::add_counter("serve.requests_allocate", 1);
+    settled([](const SealedPrefix&) {});
     return to_json(*allocation_, types_).dump(2) + "\n";
 }
 
 StatusReply Service::status() const {
     if (obs::enabled()) obs::add_counter("serve.requests_status", 1);
     StatusReply out;
-    out.records_sealed = sealed_records_;
+    settled([&](const SealedPrefix& sealed) {
+        out.records_sealed = sealed.records;
+        out.shards_sealed = sealed.shards.size();
+        out.exposure_sealed_hours = sealed.exposure.hours();
+    });
     out.records_pending = pending_records_;
-    out.shards_sealed = sealed_.size();
-    out.exposure_sealed_hours = sealed_exposure_.hours();
     return out;
 }
 
 void Service::finish() {
     if (writer_ && pending_records_ > 0) {
-        seal_current_shard();
+        roll_live_shard();
     } else {
         writer_.reset();  // removes an empty .tmp, if one was opened
     }
-    store_.record(sealed_);
+    // The index is opened only here: construction and restart read none of
+    // it, so a restart never parses an index of thousands of rows.
+    settled([&](const SealedPrefix& sealed) {
+        store::Store(config_.store_dir).record(sealed.shards);
+    });
 }
 
 }  // namespace qrn::serve

@@ -17,8 +17,11 @@ std::string_view to_string(StoreErrorKind kind) noexcept {
     return "unknown";
 }
 
+// Built with append: GCC 12 at -O3 reports a -Wrestrict false positive
+// for the inlined `const char* + std::string&&` form.
 StoreError::StoreError(StoreErrorKind kind, const std::string& message)
-    : std::runtime_error("[" + std::string(to_string(kind)) + "] " + message),
+    : std::runtime_error(
+          std::string("[").append(to_string(kind)).append("] ").append(message)),
       kind_(kind) {}
 
 namespace {
@@ -87,7 +90,7 @@ void encode_record(std::string& out, const Incident& incident) {
 
 std::string RecordContext::str() const {
     std::string out(label);
-    if (index) out += " " + std::to_string(*index);
+    if (index) out.append(" ").append(std::to_string(*index));
     return out;
 }
 

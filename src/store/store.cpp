@@ -1,6 +1,7 @@
 #include "store/store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -104,23 +105,34 @@ void Store::load_manifest() {
 }
 
 void Store::write_manifest_locked() {
-    json::Array shards;
-    shards.reserve(rows_.size());
-    for (const auto& [index, entry] : rows_) {
-        shards.push_back(json::Value(json::Object{
-            {"fleet_index", static_cast<std::size_t>(entry.fleet_index)},
-            {"file", entry.file},
-            {"key", key_hex(entry.cache_key)},
-            {"records", static_cast<std::size_t>(entry.records)},
-            {"exposure_hours", entry.exposure_hours},
-        }));
+    // The bytes of the whole document dumped at indent 2, rendered one row
+    // at a time: an index of thousands of shards never exists as a JSON
+    // tree, which costs about 1 KB per row at a serve drain.
+    std::string text = json::Value(json::Object{
+                                       {"kind", std::string(kManifestKind)},
+                                       {"schema_version", kManifestSchemaVersion},
+                                       {"shards", json::Array{}},
+                                   })
+                           .dump(2);
+    if (!rows_.empty()) {
+        // Reopen the empty array: the document ends in `"shards": []\n}`.
+        text.resize(text.size() - std::strlen("]\n}"));
+        const char* separator = "\n    ";
+        for (const auto& [index, entry] : rows_) {
+            text += separator;
+            separator = ",\n    ";
+            json::Value(json::Object{
+                            {"fleet_index", static_cast<std::size_t>(entry.fleet_index)},
+                            {"file", entry.file},
+                            {"key", key_hex(entry.cache_key)},
+                            {"records", static_cast<std::size_t>(entry.records)},
+                            {"exposure_hours", entry.exposure_hours},
+                        })
+                .dump_to(text, 2, 2);
+        }
+        text += "\n  ]\n}";
     }
-    const json::Value manifest(json::Object{
-        {"kind", std::string(kManifestKind)},
-        {"schema_version", kManifestSchemaVersion},
-        {"shards", std::move(shards)},
-    });
-    const std::string text = manifest.dump(2) + "\n";
+    text += '\n';
 
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
@@ -207,10 +219,10 @@ SealedShard find_sealed_shard(const std::string& dir, std::uint64_t fleet_index,
     return out;
 }
 
-std::vector<std::string> Store::stray_temp_files() const {
+std::vector<std::string> stray_temp_files(const std::string& dir) {
     std::vector<std::string> out;
     std::error_code ec;
-    for (const auto& item : std::filesystem::directory_iterator(dir_, ec)) {
+    for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
         if (!item.is_regular_file(ec)) continue;
         const std::string name = item.path().filename().string();
         if (name.size() > kTempSuffix.size() &&

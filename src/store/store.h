@@ -90,11 +90,6 @@ public:
     /// manifest cannot be written.
     void record(std::span<const ShardEntry> entries);
 
-    /// Leftover `*.tmp` files from interrupted writes (sorted). These are
-    /// never trusted as shards; inspect reports them so operators know a
-    /// previous run died mid-write.
-    [[nodiscard]] std::vector<std::string> stray_temp_files() const;
-
 private:
     void load_manifest();
     void write_manifest_locked();
@@ -104,5 +99,12 @@ private:
     std::map<std::uint64_t, ShardEntry> rows_;
     std::atomic<bool> manifest_found_{false};  ///< Set by record() under mutex_.
 };
+
+/// Leftover `*.tmp` files in the store directory `dir` from interrupted
+/// writes (sorted). These are never trusted as shards; inspect reports
+/// them so operators know a previous run died mid-write, and the serve
+/// daemon deletes them at startup. Needs no Store, so it reads no
+/// manifest.
+[[nodiscard]] std::vector<std::string> stray_temp_files(const std::string& dir);
 
 }  // namespace qrn::store

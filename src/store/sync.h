@@ -32,9 +32,12 @@ void sync_directory(const std::string& path);
 namespace detail {
 /// Test seam: when set, invoked with (kind, path) before each real fsync.
 /// Tests use it to record the sync order seal() performs and to inject
-/// failures (anything the hook throws propagates to the caller before the
-/// fsync happens). Pass nullptr to restore production behaviour. Not
-/// thread-safe against concurrent store writes; tests only.
+/// failures or delays (anything the hook throws propagates to the caller
+/// before the fsync happens). It runs on whichever thread seals: for the
+/// serve Service that is its sealer thread, so a hook that touches test
+/// state must synchronize it. Pass nullptr to restore production
+/// behaviour. Not thread-safe against concurrent store writes: set it
+/// before the writer or Service exists and clear it after; tests only.
 void set_sync_hook_for_test(std::function<void(SyncKind, const std::string&)> hook);
 }  // namespace detail
 

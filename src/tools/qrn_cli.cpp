@@ -895,7 +895,7 @@ int cmd_store_inspect(const Args& args) {
                   << "  exposure " << e.exposure_hours << " h  file " << e.file
                   << '\n';
     }
-    for (const auto& name : st.stray_temp_files()) {
+    for (const auto& name : store::stray_temp_files(st.dir())) {
         std::cerr << "warning: stray temp file (interrupted write): " << name
                   << '\n';
     }
@@ -938,7 +938,7 @@ int cmd_store_verify(const Args& args) {
         ++failed;
         std::cerr << "qrn: store verify: " << outcome.message << '\n';
     }
-    for (const auto& name : st.stray_temp_files()) {
+    for (const auto& name : store::stray_temp_files(st.dir())) {
         std::cerr << "warning: stray temp file (interrupted write): " << name
                   << '\n';
     }

@@ -286,11 +286,10 @@ TEST(Store, RejectsManifestEscapingTheDirectory) {
 TEST(Store, StrayTempFilesAreReportedSorted) {
     const std::string dir = fresh_dir("stray");
     std::filesystem::create_directories(dir);
-    Store store(dir);
     write_text(dir + "/fleet-00001-00000000000000aa.qrs.tmp", "torn");
     write_text(dir + "/fleet-00000-00000000000000bb.qrs.tmp", "torn");
     write_text(dir + "/fleet-00000-00000000000000cc.qrs", "sealed-looking");
-    const auto stray = store.stray_temp_files();
+    const auto stray = stray_temp_files(dir);
     ASSERT_EQ(stray.size(), 2u);
     EXPECT_EQ(stray[0], "fleet-00000-00000000000000bb.qrs.tmp");
     EXPECT_EQ(stray[1], "fleet-00001-00000000000000aa.qrs.tmp");
