@@ -5,13 +5,13 @@
 // qrn_exec thread pool.
 //
 // Besides the normal console output, the run writes a machine-readable
-// baseline (name -> ns/op and items/s) to BENCH_perf.json in the working
-// directory (override the path with the QRN_BENCH_JSON environment
-// variable), so perf regressions can be diffed between commits: the
-// repo-root copy is the tracked baseline and CI gates every PR against it
-// with qrn-perfdiff (docs/OBSERVABILITY.md). A failed baseline write is a
-// hard error (non-zero exit) - a bench run whose evidence silently
-// vanishes is how the baseline went dead for three PRs.
+// baseline (name -> ns/op, items/s and bytes/s) to BENCH_perf.json in
+// the working directory (override the path with the QRN_BENCH_JSON
+// environment variable), so perf regressions can be diffed between
+// commits: the repo-root copy is the tracked baseline and CI gates every
+// PR against it with qrn-perfdiff (docs/OBSERVABILITY.md). A failed
+// baseline write is a hard error (non-zero exit) - a bench run whose
+// evidence silently vanishes is how the baseline went dead for three PRs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -30,6 +30,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/stream.h"
+#include "store/crc32.h"
 #include "store/shard.h"
 #include "qrn/qrn.h"
 #include "qrn/banding.h"
@@ -313,6 +314,20 @@ void BM_EvidenceScan(benchmark::State& state) {
 }
 BENCHMARK(BM_EvidenceScan)->Arg(10000);
 
+/// CRC-32 throughput at a short input (the folding threshold), one full
+/// shard block (512 records x 28 bytes) and 1 MiB, per byte. Every block
+/// write and every shard scan pays this once per block.
+void BM_Crc32(benchmark::State& state) {
+    std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+    stats::Rng rng(23);
+    for (auto& byte : bytes) byte = static_cast<char>(rng.uniform_int(0, 255));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(store::crc32(bytes));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(14336)->Arg(1 << 20);
+
 /// Sealed-shard write throughput: header + CRC'd blocks + footer + the
 /// atomic rename, end to end, per record.
 void BM_ShardWrite(benchmark::State& state) {
@@ -480,6 +495,8 @@ public:
             entry.ns_per_op = run.GetAdjustedRealTime();
             const auto items = run.counters.find("items_per_second");
             if (items != run.counters.end()) entry.items_per_second = items->second;
+            const auto bytes = run.counters.find("bytes_per_second");
+            if (bytes != run.counters.end()) entry.bytes_per_second = bytes->second;
             entries_.push_back(std::move(entry));
         }
     }
@@ -502,6 +519,9 @@ public:
             if (e.items_per_second > 0.0) {
                 out << ", \"items_per_second\": " << e.items_per_second;
             }
+            if (e.bytes_per_second > 0.0) {
+                out << ", \"bytes_per_second\": " << e.bytes_per_second;
+            }
             out << '}' << (i + 1 < entries_.size() ? "," : "") << '\n';
         }
         out << "  ]\n}\n";
@@ -518,6 +538,7 @@ private:
         std::string name;
         double ns_per_op = 0.0;
         double items_per_second = 0.0;
+        double bytes_per_second = 0.0;
     };
 
     benchmark::ConsoleReporter console_;

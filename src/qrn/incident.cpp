@@ -1,7 +1,6 @@
 #include "qrn/incident.h"
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -41,29 +40,7 @@ std::string_view to_string(IncidentMechanism mechanism) noexcept {
 }
 
 void validate(const Incident& incident) {
-    if (!std::isfinite(incident.relative_speed_kmh) || incident.relative_speed_kmh < 0.0) {
-        throw std::invalid_argument("Incident: relative_speed_kmh must be finite >= 0");
-    }
-    if (!std::isfinite(incident.min_distance_m) || incident.min_distance_m < 0.0) {
-        throw std::invalid_argument("Incident: min_distance_m must be finite >= 0");
-    }
-    if (incident.mechanism == IncidentMechanism::Collision &&
-        incident.min_distance_m != 0.0) {
-        throw std::invalid_argument("Incident: collision requires min_distance_m == 0");
-    }
-    if (incident.involves_ego() && incident.ego_causing_factor) {
-        throw std::invalid_argument(
-            "Incident: ego_causing_factor is only for induced incidents "
-            "(ego not a party)");
-    }
-    if (!incident.involves_ego() && !incident.ego_causing_factor) {
-        throw std::invalid_argument(
-            "Incident: incidents without ego involvement must be marked as "
-            "ego-induced to be in scope of the safety case");
-    }
-    if (!std::isfinite(incident.timestamp_hours) || incident.timestamp_hours < 0.0) {
-        throw std::invalid_argument("Incident: timestamp_hours must be finite >= 0");
-    }
+    if (const char* reason = violation(incident)) throw std::invalid_argument(reason);
 }
 
 std::string describe(const Incident& incident) {

@@ -9,6 +9,7 @@
 // for near-miss quality incidents.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -71,8 +72,36 @@ struct Incident {
     }
 };
 
-/// Checks the structural invariants; throws std::invalid_argument with a
-/// description of the first violated one.
+/// The structural invariants, stated once: the description of the first
+/// one `incident` violates, or nullptr when it satisfies them all. No-throw
+/// and inline so bulk decoders can test every record on their hot path.
+[[nodiscard]] inline const char* violation(const Incident& incident) noexcept {
+    if (!std::isfinite(incident.relative_speed_kmh) || incident.relative_speed_kmh < 0.0) {
+        return "Incident: relative_speed_kmh must be finite >= 0";
+    }
+    if (!std::isfinite(incident.min_distance_m) || incident.min_distance_m < 0.0) {
+        return "Incident: min_distance_m must be finite >= 0";
+    }
+    if (incident.mechanism == IncidentMechanism::Collision &&
+        incident.min_distance_m != 0.0) {
+        return "Incident: collision requires min_distance_m == 0";
+    }
+    if (incident.involves_ego() && incident.ego_causing_factor) {
+        return "Incident: ego_causing_factor is only for induced incidents "
+               "(ego not a party)";
+    }
+    if (!incident.involves_ego() && !incident.ego_causing_factor) {
+        return "Incident: incidents without ego involvement must be marked as "
+               "ego-induced to be in scope of the safety case";
+    }
+    if (!std::isfinite(incident.timestamp_hours) || incident.timestamp_hours < 0.0) {
+        return "Incident: timestamp_hours must be finite >= 0";
+    }
+    return nullptr;
+}
+
+/// Checks the structural invariants; throws std::invalid_argument with
+/// violation()'s description of the first violated one.
 void validate(const Incident& incident);
 
 /// Compact single-line rendering for logs and test diagnostics.

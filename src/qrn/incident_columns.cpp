@@ -1,5 +1,8 @@
 #include "qrn/incident_columns.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "qrn/incident_type.h"
 
 namespace qrn {
@@ -43,6 +46,32 @@ void IncidentColumns::emplace_back(ActorType first, ActorType second,
     timestamp_hours_.push_back(timestamp_hours);
 }
 
+IncidentColumns::RowSlots IncidentColumns::grow(std::size_t n) {
+    const std::size_t at = size();
+    firsts_.resize(at + n);
+    seconds_.resize(at + n);
+    mechanisms_.resize(at + n);
+    induced_.resize(at + n);
+    relative_speed_kmh_.resize(at + n);
+    min_distance_m_.resize(at + n);
+    timestamp_hours_.resize(at + n);
+    return {firsts_.data() + at,         seconds_.data() + at,
+            mechanisms_.data() + at,     induced_.data() + at,
+            relative_speed_kmh_.data() + at, min_distance_m_.data() + at,
+            timestamp_hours_.data() + at};
+}
+
+void IncidentColumns::truncate(std::size_t n) noexcept {
+    if (n >= size()) return;
+    firsts_.resize(n);
+    seconds_.resize(n);
+    mechanisms_.resize(n);
+    induced_.resize(n);
+    relative_speed_kmh_.resize(n);
+    min_distance_m_.resize(n);
+    timestamp_hours_.resize(n);
+}
+
 Incident IncidentColumns::operator[](std::size_t index) const {
     Incident incident;
     incident.first = static_cast<ActorType>(firsts_[index]);
@@ -70,24 +99,42 @@ void IncidentColumns::append(const IncidentColumns& other) {
                             other.timestamp_hours_.end());
 }
 
-std::vector<std::uint64_t> count_matching_all(const IncidentColumns& columns,
-                                              const IncidentTypeSet& types) {
-    const std::size_t type_count = types.size();
-    std::vector<std::uint64_t> counts(type_count, 0);
-    // Resolve the type list once so the row loop is a flat pointer walk.
-    std::vector<const IncidentType*> resolved;
-    resolved.reserve(type_count);
-    for (std::size_t k = 0; k < type_count; ++k) resolved.push_back(&types.at(k));
+void add_matching_counts(const IncidentColumns& columns, const IncidentTypeSet& types,
+                         std::span<std::uint64_t> counts) {
+    if (counts.size() != types.size()) {
+        throw std::invalid_argument("add_matching_counts: one count per incident type");
+    }
+    const std::uint8_t* firsts = columns.firsts().data();
+    const std::uint8_t* seconds = columns.seconds().data();
+    const std::uint8_t* mechanisms = columns.mechanisms().data();
+    const std::uint8_t* induced = columns.induced_flags().data();
+    const double* speeds = columns.relative_speeds_kmh().data();
+    const double* distances = columns.min_distances_m().data();
+    // A tile of every column fits in L1, so each type re-walks cached rows.
+    constexpr std::size_t kTileRows = 1024;
     const std::size_t n = columns.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        // One row materialization amortized over all K predicates - the
-        // record data streams through cache once however many types the
-        // norm carries.
-        const Incident incident = columns[i];
-        for (std::size_t k = 0; k < type_count; ++k) {
-            if (resolved[k]->matches(incident)) ++counts[k];
+    for (std::size_t begin = 0; begin < n; begin += kTileRows) {
+        const std::size_t end = std::min(n, begin + kTileRows);
+        for (std::size_t k = 0; k < counts.size(); ++k) {
+            const TypeMatcher& matcher = types.all()[k].matcher();
+            std::uint64_t hits = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+                hits += matcher.matches(static_cast<ActorType>(firsts[i]),
+                                        static_cast<ActorType>(seconds[i]),
+                                        static_cast<IncidentMechanism>(mechanisms[i]),
+                                        induced[i] != 0, speeds[i], distances[i])
+                            ? 1
+                            : 0;
+            }
+            counts[k] += hits;
         }
     }
+}
+
+std::vector<std::uint64_t> count_matching_all(const IncidentColumns& columns,
+                                              const IncidentTypeSet& types) {
+    std::vector<std::uint64_t> counts(types.size(), 0);
+    add_matching_counts(columns, types, counts);
     return counts;
 }
 

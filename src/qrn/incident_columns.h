@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qrn/incident.h"
@@ -46,6 +47,26 @@ public:
                       double relative_speed_kmh, double min_distance_m,
                       bool ego_causing_factor, double timestamp_hours);
 
+    /// Where `grow` put the new rows: one pointer per column.
+    struct RowSlots {
+        std::uint8_t* firsts;
+        std::uint8_t* seconds;
+        std::uint8_t* mechanisms;
+        std::uint8_t* induced_flags;
+        double* relative_speeds_kmh;
+        double* min_distances_m;
+        double* timestamps_hours;
+    };
+
+    /// Appends `n` zeroed rows to every column and returns where they
+    /// start, for bulk decoders that fill rows in place
+    /// (store::decode_block). The caller owes each row the invariants
+    /// `validate` checks, or truncates the rows away again.
+    [[nodiscard]] RowSlots grow(std::size_t n);
+
+    /// Keeps the first `n` rows (no-op when n >= size()).
+    void truncate(std::size_t n) noexcept;
+
     /// Materializes row `index` (columns -> row). No bounds check beyond
     /// the debug assert of the underlying vectors.
     [[nodiscard]] Incident operator[](std::size_t index) const;
@@ -74,10 +95,17 @@ private:
     std::vector<double> timestamp_hours_;
 };
 
-/// All per-type match counts in ONE pass over the columns (index k of the
-/// result counts incidents matching types.at(k)). Replaces the K
-/// re-scans of a per-type count_matching loop: the record data streams
-/// through cache once however many types the norm carries.
+/// Adds to counts[k] the number of rows matching types.at(k), for every k
+/// (counts.size() must equal types.size()). Walks the columns against each
+/// type's TypeMatcher without materializing a row, one cache-sized tile at
+/// a time: the record data streams through cache once however many types
+/// the norm carries. Folds that sum many blocks (shard scans) accumulate
+/// into one tally with no allocation per block.
+void add_matching_counts(const IncidentColumns& columns, const IncidentTypeSet& types,
+                         std::span<std::uint64_t> counts);
+
+/// All per-type match counts in one pass over the columns (index k of the
+/// result counts incidents matching types.at(k)).
 [[nodiscard]] std::vector<std::uint64_t> count_matching_all(
     const IncidentColumns& columns, const IncidentTypeSet& types);
 

@@ -7,13 +7,17 @@ namespace qrn {
 
 IncidentType::IncidentType(std::string id, ActorType counterparty,
                            ToleranceMargin margin, std::string description)
-    : id_(std::move(id)),
-      counterparty_(counterparty),
-      margin_(margin),
-      description_(std::move(description)) {
+    : id_(std::move(id)), margin_(margin), description_(std::move(description)) {
     if (id_.empty()) throw std::invalid_argument("IncidentType: id must be non-empty");
-    if (counterparty_ == ActorType::EgoVehicle) {
+    if (counterparty == ActorType::EgoVehicle) {
         throw std::invalid_argument("IncidentType: counterparty cannot be EgoVehicle");
+    }
+    matcher_.party = counterparty;
+    matcher_.mechanism = margin_.mechanism();
+    if (matcher_.mechanism == IncidentMechanism::Collision) {
+        matcher_.impact = margin_.impact_band();
+    } else {
+        matcher_.proximity = margin_.proximity_band();
     }
 }
 
@@ -24,33 +28,18 @@ IncidentType IncidentType::induced(std::string id, ActorType first, ActorType se
             "IncidentType::induced: induced incidents are between third parties");
     }
     IncidentType type(std::move(id), first, margin, std::move(description));
-    type.second_party_ = second;
-    type.induced_ = true;
+    type.matcher_.other_party = second;
+    type.matcher_.induced = true;
     return type;
 }
 
-bool IncidentType::matches(const Incident& incident) const noexcept {
-    if (induced_) {
-        if (!incident.ego_causing_factor) return false;
-        const bool pair_matches =
-            (incident.first == counterparty_ && incident.second == second_party_) ||
-            (incident.first == second_party_ && incident.second == counterparty_);
-        return pair_matches && margin_.matches(incident);
-    }
-    if (!incident.involves_ego()) return false;
-    const ActorType other =
-        incident.first == ActorType::EgoVehicle ? incident.second : incident.first;
-    if (other != counterparty_) return false;
-    return margin_.matches(incident);
-}
-
 std::string IncidentType::interaction_text() const {
-    if (induced_) {
-        return std::string(to_string(counterparty_)) + "<->" +
-               std::string(to_string(second_party_)) + " (induced), " +
+    if (is_induced()) {
+        return std::string(to_string(counterparty())) + "<->" +
+               std::string(to_string(second_party())) + " (induced), " +
                margin_.to_string();
     }
-    return "Ego<->" + std::string(to_string(counterparty_)) + ", " + margin_.to_string();
+    return "Ego<->" + std::string(to_string(counterparty())) + ", " + margin_.to_string();
 }
 
 IncidentTypeSet::IncidentTypeSet(std::vector<IncidentType> types)

@@ -21,6 +21,43 @@
 
 namespace qrn {
 
+/// An incident type resolved to plain fields: the one definition of "this
+/// incident is of this type", shared by IncidentType::matches and the
+/// column walk of count_matching_all (which feeds it column values, so no
+/// Incident is built per row).
+struct TypeMatcher {
+    /// Induced types count only incidents with ego as a causing factor.
+    bool induced = false;
+    /// The unordered actor pair: {counterparty, EgoVehicle} for
+    /// ego-involved types, the two third parties for induced ones.
+    ActorType party = ActorType::Car;
+    ActorType other_party = ActorType::EgoVehicle;
+    IncidentMechanism mechanism = IncidentMechanism::Collision;
+    ImpactSpeedBand impact;   ///< The band when mechanism is Collision.
+    ProximityBand proximity;  ///< The band when mechanism is NearMiss.
+
+    [[nodiscard]] bool matches(ActorType first, ActorType second,
+                               IncidentMechanism incident_mechanism,
+                               bool ego_causing_factor, double relative_speed_kmh,
+                               double min_distance_m) const noexcept {
+        // Bitwise on bools: every term is cheap, so evaluating all of them
+        // beats branching on record data a column walk cannot predict.
+        const bool in_scope = !induced | ego_causing_factor;
+        const bool pair_matches = ((first == party) & (second == other_party)) |
+                                  ((first == other_party) & (second == party));
+        const bool in_band = mechanism == IncidentMechanism::Collision
+                                 ? impact.contains(relative_speed_kmh)
+                                 : proximity.contains(min_distance_m, relative_speed_kmh);
+        return in_scope & pair_matches & (incident_mechanism == mechanism) & in_band;
+    }
+
+    [[nodiscard]] bool matches(const Incident& incident) const noexcept {
+        return matches(incident.first, incident.second, incident.mechanism,
+                       incident.ego_causing_factor, incident.relative_speed_kmh,
+                       incident.min_distance_m);
+    }
+};
+
 /// One incident type (I_k in the paper).
 ///
 /// Two scopes exist, mirroring the two halves of Fig. 4:
@@ -44,19 +81,23 @@ public:
                                               std::string description = {});
 
     [[nodiscard]] const std::string& id() const noexcept { return id_; }
-    [[nodiscard]] bool is_induced() const noexcept { return induced_; }
+    [[nodiscard]] bool is_induced() const noexcept { return matcher_.induced; }
     /// Ego-involved types: the non-ego party. Induced types: the first of
     /// the pair (see `second_party`).
-    [[nodiscard]] ActorType counterparty() const noexcept { return counterparty_; }
+    [[nodiscard]] ActorType counterparty() const noexcept { return matcher_.party; }
     /// Induced types: the other actor of the pair. Ego-involved types:
     /// EgoVehicle.
-    [[nodiscard]] ActorType second_party() const noexcept { return second_party_; }
+    [[nodiscard]] ActorType second_party() const noexcept { return matcher_.other_party; }
     [[nodiscard]] const ToleranceMargin& margin() const noexcept { return margin_; }
     [[nodiscard]] const std::string& description() const noexcept { return description_; }
+    /// Scope, actor pair and margin as flat fields.
+    [[nodiscard]] const TypeMatcher& matcher() const noexcept { return matcher_; }
 
     /// True iff the incident falls in this type's scope, actor set and
     /// tolerance margin.
-    [[nodiscard]] bool matches(const Incident& incident) const noexcept;
+    [[nodiscard]] bool matches(const Incident& incident) const noexcept {
+        return matcher_.matches(incident);
+    }
 
     /// "Ego<->VRU, 0 < dv <= 10 km/h" or "Car<->VRU (induced), ..." -
     /// the phrase used inside SG text.
@@ -64,11 +105,9 @@ public:
 
 private:
     std::string id_;
-    ActorType counterparty_;
-    ActorType second_party_ = ActorType::EgoVehicle;
-    bool induced_ = false;
     ToleranceMargin margin_;
     std::string description_;
+    TypeMatcher matcher_;
 };
 
 /// A validated collection of incident types (unique ids; pairwise-disjoint

@@ -24,7 +24,7 @@ struct ImpactSpeedBand {
     double upper_kmh = 0.0;   ///< Inclusive upper bound; may be +infinity.
 
     [[nodiscard]] bool contains(double delta_v_kmh) const noexcept {
-        return delta_v_kmh > lower_kmh && delta_v_kmh <= upper_kmh;
+        return (delta_v_kmh > lower_kmh) & (delta_v_kmh <= upper_kmh);
     }
 };
 
@@ -37,7 +37,7 @@ struct ProximityBand {
     double min_speed_kmh = 0.0;   ///< Exclusive lower bound on closing speed.
 
     [[nodiscard]] bool contains(double distance_m, double speed_kmh) const noexcept {
-        return distance_m < max_distance_m && speed_kmh > min_speed_kmh;
+        return (distance_m < max_distance_m) & (speed_kmh > min_speed_kmh);
     }
 };
 

@@ -162,8 +162,7 @@ Service::ShardFold Service::fold_shard(std::uint64_t sequence) const {
     fold.type_events.assign(types_.size(), 0);
     const store::ShardInfo info =
         reader.for_each_block([&](const IncidentColumns& block) {
-            const std::vector<std::uint64_t> counts = count_matching_all(block, types_);
-            for (std::size_t k = 0; k < types_.size(); ++k) fold.type_events[k] += counts[k];
+            add_matching_counts(block, types_, fold.type_events);
         });
     fold.entry = {sequence, store::Store::shard_filename(sequence, key), key, info.records,
                   info.totals.exposure_hours};

@@ -13,10 +13,7 @@ std::vector<TypeEvidence> CampaignResult::pooled_evidence(
     // One columnar pass per log computes every per-type count; the former
     // loop rescanned each log once per incident type (K x incidents).
     std::vector<std::uint64_t> totals(types.size(), 0);
-    for (const auto& log : logs) {
-        const std::vector<std::uint64_t> counts = count_matching_all(log.incidents, types);
-        for (std::size_t k = 0; k < types.size(); ++k) totals[k] += counts[k];
-    }
+    for (const auto& log : logs) add_matching_counts(log.incidents, types, totals);
     std::vector<TypeEvidence> out;
     out.reserve(types.size());
     for (std::size_t k = 0; k < types.size(); ++k) {

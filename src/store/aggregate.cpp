@@ -45,11 +45,7 @@ StoreAggregate aggregate_evidence(const std::vector<ShardRef>& shards,
             // one pass, summed into the shard partial.
             const ShardInfo info =
                 reader.for_each_block([&](const qrn::IncidentColumns& block) {
-                    const std::vector<std::uint64_t> counts =
-                        count_matching_all(block, types);
-                    for (std::size_t k = 0; k < types.size(); ++k) {
-                        scan.type_events[k] += counts[k];
-                    }
+                    add_matching_counts(block, types, scan.type_events);
                 });
             scan.records = info.records;
             scan.exposure_hours = info.totals.exposure_hours;

@@ -1,6 +1,7 @@
 #include "store/format.h"
 
 #include <bit>
+#include <cstring>
 #include <exception>
 
 namespace qrn::store {
@@ -52,24 +53,31 @@ void put_f64(std::string& out, double value) {
     put_u64(out, std::bit_cast<std::uint64_t>(value));
 }
 
-std::uint32_t get_u32(std::string_view bytes, std::size_t offset) noexcept {
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]))
-                 << (8 * i);
+namespace {
+
+/// Reads a little-endian unsigned integer: one unaligned load on
+/// little-endian hosts, byte assembly elsewhere.
+template <typename T>
+T load_le(std::string_view bytes, std::size_t offset) noexcept {
+    T value = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&value, bytes.data() + offset, sizeof value);
+    } else {
+        for (std::size_t i = 0; i < sizeof value; ++i) {
+            value |= static_cast<T>(static_cast<unsigned char>(bytes[offset + i])) << (8 * i);
+        }
     }
     return value;
 }
 
+}  // namespace
+
+std::uint32_t get_u32(std::string_view bytes, std::size_t offset) noexcept {
+    return load_le<std::uint32_t>(bytes, offset);
+}
+
 std::uint64_t get_u64(std::string_view bytes, std::size_t offset) noexcept {
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]))
-                 << (8 * i);
-    }
-    return value;
+    return load_le<std::uint64_t>(bytes, offset);
 }
 
 double get_f64(std::string_view bytes, std::size_t offset) noexcept {
@@ -94,19 +102,19 @@ std::string RecordContext::str() const {
     return out;
 }
 
-Incident decode_record(std::string_view bytes, std::size_t offset,
-                       const RecordContext& context) {
+namespace {
+
+/// Reads the record at `offset` into `incident`. False, with `incident`
+/// untouched, when an actor, mechanism or flag byte names no known value.
+bool read_record(std::string_view bytes, std::size_t offset, Incident& incident) noexcept {
     const auto first = static_cast<unsigned char>(bytes[offset]);
     const auto second = static_cast<unsigned char>(bytes[offset + 1]);
     const auto mechanism = static_cast<unsigned char>(bytes[offset + 2]);
     const auto flags = static_cast<unsigned char>(bytes[offset + 3]);
     if (first >= kActorTypeCount || second >= kActorTypeCount || mechanism > 1 ||
         flags > 1) {
-        throw StoreError(StoreErrorKind::Inconsistent,
-                         context.str() + ": record field out of range (actor/mechanism/"
-                                   "flag byte does not name a known value)");
+        return false;
     }
-    Incident incident;
     incident.first = static_cast<ActorType>(first);
     incident.second = static_cast<ActorType>(second);
     incident.mechanism = static_cast<IncidentMechanism>(mechanism);
@@ -114,6 +122,19 @@ Incident decode_record(std::string_view bytes, std::size_t offset,
     incident.relative_speed_kmh = get_f64(bytes, offset + 4);
     incident.min_distance_m = get_f64(bytes, offset + 12);
     incident.timestamp_hours = get_f64(bytes, offset + 20);
+    return true;
+}
+
+}  // namespace
+
+Incident decode_record(std::string_view bytes, std::size_t offset,
+                       const RecordContext& context) {
+    Incident incident;
+    if (!read_record(bytes, offset, incident)) {
+        throw StoreError(StoreErrorKind::Inconsistent,
+                         context.str() + ": record field out of range (actor/mechanism/"
+                                   "flag byte does not name a known value)");
+    }
     try {
         validate(incident);
     } catch (const std::exception& error) {
@@ -122,6 +143,30 @@ Incident decode_record(std::string_view bytes, std::size_t offset,
                              error.what());
     }
     return incident;
+}
+
+void decode_block(std::string_view bytes, std::uint32_t count, IncidentColumns& out,
+                  const RecordContext& context) {
+    const std::size_t base = out.size();
+    const IncidentColumns::RowSlots rows = out.grow(count);
+    for (std::uint32_t r = 0; r < count; ++r) {
+        const std::size_t offset = static_cast<std::size_t>(r) * kRecordBytes;
+        Incident incident;
+        if (!read_record(bytes, offset, incident) || violation(incident) != nullptr) {
+            // The slow decoder words the error, so a bad record reads the
+            // same whichever path met it.
+            out.truncate(base);
+            (void)decode_record(bytes, offset, context);
+            throw std::logic_error("decode_block: decode_record accepted a rejected record");
+        }
+        rows.firsts[r] = static_cast<std::uint8_t>(incident.first);
+        rows.seconds[r] = static_cast<std::uint8_t>(incident.second);
+        rows.mechanisms[r] = static_cast<std::uint8_t>(incident.mechanism);
+        rows.induced_flags[r] = incident.ego_causing_factor ? 1 : 0;
+        rows.relative_speeds_kmh[r] = incident.relative_speed_kmh;
+        rows.min_distances_m[r] = incident.min_distance_m;
+        rows.timestamps_hours[r] = incident.timestamp_hours;
+    }
 }
 
 }  // namespace qrn::store

@@ -27,6 +27,7 @@
 #include <string_view>
 
 #include "qrn/incident.h"
+#include "qrn/incident_columns.h"
 
 namespace qrn::store {
 
@@ -132,5 +133,14 @@ struct RecordContext {
 /// violating qrn::validate().
 [[nodiscard]] Incident decode_record(std::string_view bytes, std::size_t offset,
                                      const RecordContext& context);
+
+/// Decodes the `count` records at the start of `bytes` (the caller
+/// guarantees count * kRecordBytes are available) and appends them to
+/// `out`: one pass of inline loads, with the enum-byte ranges and
+/// qrn::violation() checked for every record. On the first bad record
+/// `out` is restored to its old size and decode_record's StoreError for
+/// that record is thrown, kind and text alike.
+void decode_block(std::string_view bytes, std::uint32_t count, IncidentColumns& out,
+                  const RecordContext& context);
 
 }  // namespace qrn::store

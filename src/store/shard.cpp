@@ -243,34 +243,13 @@ void ShardReader::read_exact(std::string& into, std::size_t want,
 }
 
 ShardInfo ShardReader::for_each(const std::function<void(const Incident&)>& fn) {
-    return stream_blocks([&](std::string_view payload, std::uint32_t count) {
-        for (std::uint32_t r = 0; r < count; ++r) {
-            fn(decode_record(payload, static_cast<std::size_t>(r) * kRecordBytes,
-                             {path_, std::nullopt}));
-        }
+    return for_each_block([&fn](const qrn::IncidentColumns& block) {
+        for (std::size_t i = 0; i < block.size(); ++i) fn(block[i]);
     });
 }
 
 ShardInfo ShardReader::for_each_block(
     const std::function<void(const qrn::IncidentColumns&)>& fn) {
-    // One columns buffer reused for every block: capacity settles at
-    // kBlockRecords rows and the scan allocates nothing further.
-    qrn::IncidentColumns batch;
-    return stream_blocks([&](std::string_view payload, std::uint32_t count) {
-        batch.clear();
-        batch.reserve(count);
-        for (std::uint32_t r = 0; r < count; ++r) {
-            batch.push_back(decode_record(payload,
-                                          static_cast<std::size_t>(r) * kRecordBytes,
-                                          {path_, std::nullopt}));
-        }
-        fn(batch);
-    });
-}
-
-ShardInfo ShardReader::stream_blocks(
-    const std::function<void(std::string_view payload, std::uint32_t count)>&
-        on_block) {
     if (consumed_) {
         throw std::logic_error("ShardReader::for_each: reader already consumed");
     }
@@ -279,6 +258,9 @@ ShardInfo ShardReader::stream_blocks(
     try {
         std::uint64_t records = 0;
         std::string buffer;
+        // One columns buffer reused for every block: capacity settles at
+        // kBlockRecords rows and the scan allocates nothing further.
+        qrn::IncidentColumns batch;
         for (;;) {
             char tag_bytes[4];
             const std::size_t got = read_some(tag_bytes, 4);
@@ -313,7 +295,9 @@ ShardInfo ShardReader::stream_blocks(
                                      path_ + ": block checksum mismatch "
                                              "(bit rot or torn write)");
                 }
-                on_block(payload, count);
+                batch.clear();
+                decode_block(payload, count, batch, {path_, std::nullopt});
+                fn(batch);
                 records += count;
                 continue;
             }
@@ -428,7 +412,7 @@ ShardInfo read_shard(const std::string& path, sim::IncidentLog& out) {
 
 ShardInfo verify_shard(const std::string& path) {
     ShardReader reader(path);
-    return reader.for_each([](const Incident&) {});
+    return reader.for_each_block([](const qrn::IncidentColumns&) {});
 }
 
 }  // namespace qrn::store

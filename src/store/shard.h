@@ -113,24 +113,17 @@ public:
     [[nodiscard]] std::uint64_t cache_key() const noexcept { return cache_key_; }
     [[nodiscard]] std::uint64_t fleet_index() const noexcept { return fleet_index_; }
 
-    /// Streams all records, then the footer check. Throws StoreError on
-    /// any defect; on success returns the shard's self-description.
-    /// Consumes the reader (single pass).
-    ShardInfo for_each(const std::function<void(const Incident&)>& fn);
-
-    /// Streams CRC-checked blocks decoded as columns: `fn` sees one
-    /// IncidentColumns batch per block (up to kBlockRecords rows), backed
-    /// by a buffer reused across blocks. Bulk consumers (aggregation, log
-    /// reload) scan columns without a per-record callback.
+    /// Streams CRC-checked blocks decoded as columns (decode_block): `fn`
+    /// sees one IncidentColumns batch per block (up to kBlockRecords rows),
+    /// backed by a buffer reused across blocks; then the footer check.
+    /// Throws StoreError on any defect; on success returns the shard's
+    /// self-description. Consumes the reader (single pass).
     ShardInfo for_each_block(const std::function<void(const IncidentColumns&)>& fn);
 
-private:
-    /// The shared streaming core: walks block frames (each CRC-checked
-    /// before `on_block` sees its payload) and validates the footer.
-    ShardInfo stream_blocks(
-        const std::function<void(std::string_view payload, std::uint32_t count)>&
-            on_block);
+    /// for_each_block, surfacing the rows of each block one at a time.
+    ShardInfo for_each(const std::function<void(const Incident&)>& fn);
 
+private:
     [[nodiscard]] std::size_t read_some(char* into, std::size_t want);
     void read_exact(std::string& into, std::size_t want, std::string_view what);
 

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -452,6 +453,106 @@ TEST(ShardCorruption, ErrorsCarryKindPrefixAndPath) {
         EXPECT_NE(what.find("[bad-magic]"), std::string::npos) << what;
         EXPECT_NE(what.find(path), std::string::npos) << what;
         EXPECT_TRUE(error.is_corruption());
+    }
+    std::filesystem::remove(path);
+}
+
+/// One way to break the record invariants while every byte stays inside
+/// a CRC-valid block.
+struct BadRecord {
+    const char* name;
+    std::function<void(std::string&)> corrupt;  ///< Patches 28 record bytes.
+};
+
+/// A valid ego-involved near miss; each BadRecord breaks exactly one rule.
+std::string valid_record_bytes() {
+    Incident incident;
+    incident.first = ActorType::EgoVehicle;
+    incident.second = ActorType::Vru;
+    incident.mechanism = IncidentMechanism::NearMiss;
+    incident.relative_speed_kmh = 12.5;
+    incident.min_distance_m = 0.5;
+    incident.timestamp_hours = 3.25;
+    std::string bytes;
+    encode_record(bytes, incident);
+    return bytes;
+}
+
+void patch_f64(std::string& record, std::size_t offset, double value) {
+    std::string encoded;
+    put_f64(encoded, value);
+    record.replace(offset, 8, encoded);
+}
+
+std::vector<BadRecord> bad_records() {
+    return {
+        {"actor byte 7", [](std::string& r) { r[1] = 7; }},
+        {"mechanism byte 2", [](std::string& r) { r[2] = 2; }},
+        {"flag byte 2", [](std::string& r) { r[3] = 2; }},
+        {"NaN speed",
+         [](std::string& r) { patch_f64(r, 4, std::numeric_limits<double>::quiet_NaN()); }},
+        {"negative distance", [](std::string& r) { patch_f64(r, 12, -0.25); }},
+        {"collision at a distance",
+         [](std::string& r) { r[2] = static_cast<char>(IncidentMechanism::Collision); }},
+        {"infinite timestamp",
+         [](std::string& r) { patch_f64(r, 20, std::numeric_limits<double>::infinity()); }},
+        {"ego party with the induced flag", [](std::string& r) { r[3] = 1; }},
+        {"no ego party and no induced flag",
+         [](std::string& r) { r[0] = static_cast<char>(ActorType::Car); }},
+    };
+}
+
+TEST(ShardCorruption, BadRecordUnderValidCrcIsInconsistentOnEveryReadPath) {
+    // A record that breaks one invariant inside a block whose CRC is valid
+    // (a writer bug, not bit rot): every read path must reject it with the
+    // error decode_record gives for that record, byte for byte.
+    const std::string path = temp_shard("bad_record");
+    write_shard(path, 1, 0, sample_log(kBlockRecords + 40));
+    const std::string pristine = slurp(path);
+    constexpr std::size_t kBlockPayloadAt = 36 + 8;  // header, block tag + count
+    constexpr std::size_t kVictim = 200;             // mid-block record
+    const std::size_t payload_bytes = kBlockRecords * kRecordBytes;
+    for (const BadRecord& bad : bad_records()) {
+        SCOPED_TRACE(bad.name);
+        std::string record = valid_record_bytes();
+        ASSERT_NO_THROW((void)decode_record(record, 0, {path, std::nullopt}));
+        bad.corrupt(record);
+        std::string expected;
+        try {
+            (void)decode_record(record, 0, {path, std::nullopt});
+            FAIL() << "decode_record accepted the corrupted record";
+        } catch (const StoreError& error) {
+            EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent);
+            expected = error.what();
+        }
+        EXPECT_NE(expected.find(path), std::string::npos) << expected;
+
+        std::string bytes = pristine;
+        bytes.replace(kBlockPayloadAt + kVictim * kRecordBytes, kRecordBytes, record);
+        std::string crc;
+        put_u32(crc, crc32(std::string_view(bytes).substr(kBlockPayloadAt, payload_bytes)));
+        bytes.replace(kBlockPayloadAt + payload_bytes, 4, crc);
+        spit(path, bytes);
+
+        const auto expect_rejected = [&](const char* via,
+                                         const std::function<void()>& read) {
+            try {
+                read();
+                ADD_FAILURE() << via << " accepted the corrupted record";
+            } catch (const StoreError& error) {
+                EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent) << via;
+                EXPECT_EQ(std::string(error.what()), expected) << via;
+            }
+        };
+        expect_rejected("for_each_block", [&] {
+            ShardReader reader(path);
+            (void)reader.for_each_block([](const IncidentColumns&) {});
+        });
+        expect_rejected("for_each", [&] {
+            ShardReader reader(path);
+            (void)reader.for_each([](const Incident&) {});
+        });
+        expect_rejected("verify_shard", [&] { (void)verify_shard(path); });
     }
     std::filesystem::remove(path);
 }
